@@ -36,7 +36,7 @@ from .analysis import (boundary_walk_dofs, error_H1_semi, error_L2,
                        verify_boundary_bubble_estimate,
                        verify_discrete_stability, verify_L2_controlled_by_H1)
 from .assembly import assemble_boundary_mass, assemble_mass
-from .expr import ParseError
+from .expr import EvalError, ParseError
 from .linalg import SolverError, save_matrix_market
 from .mesh import export_vtk
 from .problems import (ConfigError, config_hash, load_config, run_convergence,
@@ -61,6 +61,7 @@ class RunRecord:
     timestamp: str
     levels: list
     residuals: list
+    iterations: list
     galerkin_residuals: list
     adjoint_residuals: list
     report: dict = None
@@ -80,6 +81,7 @@ def _record(command, spec, solutions, **extra):
         command=command, problem=spec.name, config_hash=config_hash(spec),
         timestamp=_timestamp(), levels=[s.level for s in solutions],
         residuals=[s.residual for s in solutions],
+        iterations=[s.iterations for s in solutions],
         galerkin_residuals=[s.galerkin_residual for s in solutions],
         adjoint_residuals=[s.adjoint_residual for s in solutions], **extra)
 
@@ -295,7 +297,8 @@ def main(argv=None):
 
     try:
         return args.func(args)
-    except (ConfigError, ParseError, json.JSONDecodeError, OSError) as err:
+    except (ConfigError, ParseError, EvalError, json.JSONDecodeError,
+            OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     except SolverError as err:

@@ -1,14 +1,19 @@
 """Solvers for the coupled block system and small sparse kernels.
 
-The coupled matrix [[A, 0], [B, C]] is square but nonsymmetric; the
-first block row alone is underdetermined (A has N columns but only |I|
-rows), yet the full system is uniquely solvable for any gamma > 0.  The
-default method factors the whole matrix with a sparse direct LU.  The
-alternative exploits the block structure: with Y split into interior
-and boundary parts, the interior stiffness block K_II is symmetric
-positive definite, so Y_I and Z can be eliminated by forward
-substitution through one factorization of K_II, leaving a dense system
-of size |B| for the boundary values only.
+The coupled matrix [[A, 0], [B, C]] is nonsymmetric but uniquely
+solvable for any gamma > 0.  The default, reduced-pcg, uses that the
+control is the trace of the state: with K_II the interior stiffness
+block (SPD), the first block row gives Y = Y0 + E Y_B with
+Y0 = [K_II^-1 F; 0] and the discrete harmonic extension
+E = [-K_II^-1 K_IB; I].  Testing the second row with E cancels Z and
+leaves one system for Y_B alone,
+
+    H Y_B = E^T (B Y0 - G),   H = -E^T B E = E^T M E + gamma M_Gamma,BB,
+
+solved by CG preconditioned with -B_BB = M_BB + gamma M_Gamma,BB; each
+product with H costs two solves with the K_II factors.  Z follows from
+the interior rows, K_II Z = G_I - (B Y)_I.  direct-lu factors the whole
+coupled matrix and is the small-N reference.
 """
 
 from dataclasses import dataclass
@@ -16,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmread, mmwrite
-from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
-METHODS = ("direct-lu", "block-forward-substitution")
+METHODS = ("reduced-pcg", "direct-lu")
 
 
 class SolverError(RuntimeError):
@@ -28,7 +32,7 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "direct-lu"
+    method: str = "reduced-pcg"
     tolerance: float = 1e-12
     max_iterations: int = 200
 
@@ -79,73 +83,65 @@ def _refine(full, rhs, x, apply_inverse, tolerance):
     return x
 
 
-def _solve_direct(system, tolerance):
-    full = system.full().tocsc()
+def _factor(matrix, what):
     try:
-        lu = splu(full)
+        return splu(matrix.tocsc())
     except RuntimeError as err:
-        raise SolverError("factorization of the coupled system failed "
-                          "(%s); for gamma > 0 it should never be singular" % err)
-    b = system.rhs()
-    x = lu.solve(b)
-    return _refine(full, b, x, lu.solve, tolerance)
+        raise SolverError("factorization of the %s failed (%s); for gamma "
+                          "> 0 it should never be singular" % (what, err))
 
 
-def _solve_forward(system, tolerance):
-    # eliminate Y_I and Z through one SPD factorization of K_II, then
-    # solve a dense system for the boundary values Y_B
-    I, Bnd = system.interior, system.boundary
-    ni, nb = len(I), len(Bnd)
-    n = system.num_dofs
+def _reduced_solver(system, max_iterations, atol, iterations):
+    """apply_inverse of the full system through the reduced problem; CG
+    stops once the reduced residual (= the boundary-row residual of the
+    full system) is below atol, and appends its count to iterations.
+    """
+    I, Bnd, B = system.interior, system.boundary, system.B
+    n, ni, nb = system.num_dofs, len(I), len(Bnd)
+    K_IB, K_BI = system.A[:, Bnd].tocsr(), system.C[Bnd, :].tocsr()
+    K_II = _factor(system.C[I, :], "interior stiffness")
+    precond = _factor(-B[Bnd][:, Bnd], "boundary mass")
 
-    K_II = system.C[I, :].tocsc()        # C = stiffness columns of interior dofs
-    K_IB = system.A[:, Bnd].toarray()
-    K_BI = system.C[Bnd, :]
-    B_I, B_B = system.B[I, :], system.B[Bnd, :]
-    try:
-        lu = splu(K_II)
-    except RuntimeError as err:
-        raise SolverError("factorization of the interior stiffness failed: %s"
-                          % err)
+    def extend(yB, Y):           # Y + E·yB, in place
+        Y[I] -= K_II.solve(K_IB @ yB)
+        Y[Bnd] += yB
+        return Y
 
-    # Y as an affine map of Y_B:  Y = Y0 + Y1 @ Y_B
-    Y1 = np.zeros((n, nb))
-    Y1[I] = -lu.solve(K_IB)
-    Y1[Bnd] = np.eye(nb)
-    Z1 = lu.solve(B_I @ Y1)
+    def restrict(w):             # Eᵀ·w
+        return w[Bnd] - K_BI @ K_II.solve(w[I])
 
-    # boundary rows of the second block close the system
-    S = B_B @ Y1 - K_BI @ Z1
-    try:
-        s_fac = lu_factor(S)
-    except np.linalg.LinAlgError as err:
-        raise SolverError("boundary closure solve failed: %s" % err)
+    H = LinearOperator((nb, nb), dtype=float,
+                       matvec=lambda v: -restrict(B @ extend(v, np.zeros(n))))
+    M = LinearOperator((nb, nb), dtype=float, matvec=precond.solve)
 
-    def solve_fg(F, G):
-        Y0 = np.zeros(n)
-        Y0[I] = lu.solve(F)
-        Z0 = lu.solve(G[I] - B_I @ Y0)
-        yB = lu_solve(s_fac, G[Bnd] - B_B @ Y0 - K_BI @ Z0)
-        x = np.empty(n + ni)
-        x[:n] = Y0 + Y1 @ yB
-        x[n:] = Z0 - Z1 @ yB
-        return x
+    def apply_inverse(rhs):
+        F, G = rhs[:ni], rhs[ni:]
+        Y = np.zeros(n)
+        Y[I] = K_II.solve(F)
+        steps = []
+        yB, info = cg(H, restrict(B @ Y - G), rtol=0.0, atol=atol, M=M,
+                      maxiter=max_iterations, callback=steps.append)
+        iterations.append(len(steps))
+        if info > 0:
+            raise SolverError("conjugate gradients did not converge in %d "
+                              "iterations" % len(steps))
+        Y = extend(yB, Y)
+        return np.concatenate([Y, K_II.solve(G[I] - (B @ Y)[I])])
 
-    x = solve_fg(system.F, system.G)
-    # same refinement as the direct path, reusing both factorizations
-    return _refine(system.full().tocsr(), system.rhs(), x,
-                   lambda r: solve_fg(r[:ni], r[ni:]), tolerance)
+    return apply_inverse
 
 
-def solve_block(system, config=None):
+def solve_block(system, config=None, stats=None):
     """Solve the coupled system; returns (Y, Z).
 
     Keyword arguments:
-        config -- SolverConfig; default is the direct LU method with a
-                  1e-12 relative residual tolerance
+        config -- SolverConfig; default is reduced-pcg with a 1e-12
+                  relative residual tolerance
+        stats  -- dict that receives "iterations": the CG count of the
+                  first solve and of each refinement sweep (direct-lu: [])
 
-    Raises SolverError if factorization fails or the relative residual
-    of the full system exceeds the tolerance.
+    Raises SolverError if a factorization fails, CG runs out of
+    iterations, or the relative residual exceeds the tolerance.
     """
     if config is None:
         config = SolverConfig()
@@ -153,10 +149,16 @@ def solve_block(system, config=None):
     if system.A.shape[1] != n or system.C.shape[0] != n:
         raise ValueError("inconsistent block dimensions")
 
+    b = system.rhs()
+    iterations = [] if stats is None else stats.setdefault("iterations", [])
+    full = system.full().tocsc()
     if config.method == "direct-lu":
-        x = _solve_direct(system, config.tolerance)
+        apply_inverse = _factor(full, "coupled system").solve
     else:
-        x = _solve_forward(system, config.tolerance)
+        apply_inverse = _reduced_solver(  # atol: where _refine stops
+            system, config.max_iterations,
+            0.25 * config.tolerance * np.linalg.norm(b), iterations)
+    x = _refine(full, b, apply_inverse(b), apply_inverse, config.tolerance)
 
     rel = residual(system, x[:n], x[n:])
     if not rel <= config.tolerance:
@@ -172,9 +174,7 @@ def residual(system, Y, Z):
     r = _residual_vector(system.full().tocsr(), rhs, x)
     rnorm = float(np.linalg.norm(r.astype(np.float64)))
     denom = np.linalg.norm(rhs)
-    if denom == 0.0:
-        return rnorm
-    return rnorm / denom
+    return rnorm / denom if denom != 0.0 else rnorm
 
 
 def save_matrix_market(path, matrix):

@@ -79,7 +79,7 @@ class ProblemSpec:
     constants: dict = None
     exact: dict = None
     reference_level: int = None
-    solver_method: str = "direct-lu"
+    solver_method: str = "reduced-pcg"
     solver_tolerance: float = 1e-12
 
     def __post_init__(self):
@@ -289,7 +289,8 @@ class LevelSolution:
     galerkin_residual checks the state rows alone (the discrete state
     equation restricted to zero-trace test functions); adjoint_residual
     checks the remaining rows.  Both are relative when the data side is
-    nonzero.
+    nonzero.  iterations is the CG count of the solve, summed over the
+    first solve and the refinement sweeps (0 for direct-lu).
     """
 
     level: int
@@ -300,6 +301,7 @@ class LevelSolution:
     residual: float
     galerkin_residual: float
     adjoint_residual: float
+    iterations: int
 
 
 def _relative(num, den):
@@ -326,7 +328,8 @@ def solve_level(spec, level, mesh=None, solver_config=None):
     if solver_config is None:
         solver_config = SolverConfig(method=spec.solver_method,
                                      tolerance=spec.solver_tolerance)
-    Y, Z = solve_block(system, solver_config)
+    stats = {}
+    Y, Z = solve_block(system, solver_config, stats=stats)
 
     zfull = np.zeros(dofmap.num_dofs)
     zfull[system.interior] = Z
@@ -337,7 +340,8 @@ def solve_level(spec, level, mesh=None, solver_config=None):
     return LevelSolution(level=level, dofmap=dofmap, system=system,
                          y=FemField(dofmap, Y), z=FemField(dofmap, zfull),
                          residual=residual(system, Y, Z),
-                         galerkin_residual=gal, adjoint_residual=adj)
+                         galerkin_residual=gal, adjoint_residual=adj,
+                         iterations=sum(stats["iterations"]))
 
 
 def cache_dir():

@@ -46,6 +46,8 @@ class TestSolve:
         assert len(summary["config_hash"]) == 16
         assert summary["report"]["num_triangles"] == 32
         assert "errors" in summary["report"]["norms"]
+        assert len(summary["iterations"]) == 1
+        assert summary["iterations"][0] > 0
 
     def test_control_column_matches_boundary_trace(self, tmp_path):
         out = tmp_path / "run"
@@ -101,6 +103,7 @@ class TestConvergence:
         assert record["command"] == "convergence"
         assert record["levels"] == [0, 1]
         assert len(record["residuals"]) == 2
+        assert len(record["iterations"]) == 2
         assert set(record["report"]["errors"]) == {"h1_y", "h1_z", "l2_u"}
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -174,6 +177,35 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 3
         assert "solver error:" in capsys.readouterr().err
+
+    def test_direct_lu_records_zero_iterations(self, tmp_path):
+        config = write_config(tmp_path, {"problem": "example1",
+                                         "levels": [0, 1],
+                                         "solver_method": "direct-lu"})
+        out = tmp_path / "table.csv"
+        assert main(["convergence", "--config", config, "--out",
+                     str(out)]) == 0
+        record = json.loads((tmp_path / "table.run.json").read_text())
+        assert record["iterations"] == [0, 0]
+
+    def test_retired_solver_method_is_a_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "problem": "example1",
+            "solver_method": "block-forward-substitution"})
+        code = main(["solve", "--config", config, "--level", "1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "unknown solver method" in capsys.readouterr().err
+
+    def test_expression_domain_error_is_a_config_error(self, tmp_path,
+                                                       capsys):
+        config = write_config(tmp_path, {"problem": "example1",
+                                         "f": "log(x1 - 0.5)"})
+        code = main(["solve", "--config", config, "--level", "1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2

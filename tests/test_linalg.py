@@ -27,11 +27,11 @@ def toy_system():
         gamma=1.0)
 
 
-def example_system(level=2, gamma=1.0):
+def example_system(level=2, gamma=1.0, degree=1):
     mesh = make_initial_mesh(UNIT)
     for _ in range(level):
         mesh = refine_uniform(mesh)
-    dofmap = DofMap(mesh, 1)
+    dofmap = DofMap(mesh, degree)
     f = lambda x1, x2: -4.0 / gamma + 0 * x1
     y_d = lambda x1, x2: (2 + 1 / gamma) * (x1 ** 2 - x1 + x2 ** 2 - x2)
     return build_block_system(dofmap, gamma, f, y_d)
@@ -40,7 +40,7 @@ def example_system(level=2, gamma=1.0):
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
-        assert cfg.method == "direct-lu"
+        assert cfg.method == "reduced-pcg"
         assert cfg.tolerance == 1e-12
 
     @pytest.mark.parametrize("kwargs", [
@@ -56,8 +56,7 @@ class TestSolverConfig:
 
 
 class TestSolveBlock:
-    @pytest.mark.parametrize("method",
-                             ["direct-lu", "block-forward-substitution"])
+    @pytest.mark.parametrize("method", ["direct-lu", "reduced-pcg"])
     def test_toy_system_solved_exactly(self, method):
         Y, Z = solve_block(toy_system(), SolverConfig(method=method))
         assert Y == pytest.approx([1.0, -1.0], abs=1e-14)
@@ -77,8 +76,7 @@ class TestSolveBlock:
     def test_methods_agree(self):
         system = example_system(level=3)
         Y1, Z1 = solve_block(system, SolverConfig(method="direct-lu"))
-        Y2, Z2 = solve_block(
-            system, SolverConfig(method="block-forward-substitution"))
+        Y2, Z2 = solve_block(system, SolverConfig(method="reduced-pcg"))
         scale = np.abs(Y1).max()
         assert np.abs(Y1 - Y2).max() <= 1e-11 * scale
         assert np.abs(Z1 - Z2).max() <= 1e-11 * scale
@@ -87,6 +85,30 @@ class TestSolveBlock:
         system = example_system(level=3)
         Y, Z = solve_block(system)
         assert residual(system, Y, Z) <= 1e-12
+
+    def test_methods_agree_for_quadratic_elements(self):
+        system = example_system(level=3, degree=2)
+        Y1, Z1 = solve_block(system, SolverConfig(method="direct-lu"))
+        Y2, Z2 = solve_block(system, SolverConfig(method="reduced-pcg"))
+        scale = np.abs(Y1).max()
+        assert np.abs(Y1 - Y2).max() <= 1e-11 * scale
+        assert np.abs(Z1 - Z2).max() <= 1e-11 * scale
+
+    def test_iteration_counts_reported(self):
+        system = example_system(level=3)
+        stats = {}
+        solve_block(system, SolverConfig(method="direct-lu"), stats=stats)
+        assert stats == {"iterations": []}
+        stats = {}
+        solve_block(system, stats=stats)
+        assert len(stats["iterations"]) >= 1
+        assert all(isinstance(k, int) for k in stats["iterations"])
+        assert stats["iterations"][0] > 0
+
+    def test_iteration_limit_raises(self):
+        system = example_system(level=4, gamma=0.01)
+        with pytest.raises(SolverError, match="2 iterations"):
+            solve_block(system, SolverConfig(max_iterations=2))
 
     def test_unreachable_tolerance_raises(self):
         system = example_system(level=2)
@@ -122,7 +144,7 @@ class TestSolveBlock:
             gamma=system.gamma)
 
         Y, Z = solve_block(system)
-        for method in ("direct-lu", "block-forward-substitution"):
+        for method in ("direct-lu", "reduced-pcg"):
             Yp, Zp = solve_block(permuted, SolverConfig(method=method))
             assert np.abs(Yp - Y[perm_n]).max() <= 1e-10 * np.abs(Y).max()
             assert np.abs(Zp - Z[perm_i]).max() <= 1e-10 * np.abs(Y).max()
@@ -163,3 +185,37 @@ class TestMatrixMarket:
         back = load_matrix_market(path)
         assert np.abs(np.asarray(back.todense()).ravel()
                       - system.rhs()).max() <= 1e-15
+
+
+class TestReducedConditioning:
+    """First-solve CG counts of reduced-pcg under mesh refinement.
+
+    The preconditioned reduced operator has eigenvalues from about 1 up
+    to a level-independent limit; for small gamma that limit is set by
+    the constant boundary mode, 1 + |Omega|/(gamma |Gamma|), and the
+    O(h) part M_BB of the preconditioner keeps the top lower while h is
+    not small against gamma.  Measured condition numbers at
+    gamma = 0.01, levels 2-6: 6.8, 10.7, 15.5, 20.2, 24.0 (limit 26).
+    So the count is flat from level 3 at gamma = 1, while at
+    gamma = 0.01 it climbs to level 5 (h = 0.022) and is flat from
+    there.
+    """
+
+    @staticmethod
+    def first_solve_counts(gamma, levels):
+        counts = []
+        for level in levels:
+            stats = {}
+            solve_block(example_system(level=level, gamma=gamma), stats=stats)
+            counts.append(stats["iterations"][0])
+        return counts
+
+    def test_counts_flat_at_unit_gamma(self):
+        counts = self.first_solve_counts(1.0, range(3, 7))
+        assert max(counts) <= 8, counts
+        assert counts[-1] - counts[0] <= 2, counts
+
+    def test_counts_bounded_at_small_gamma(self):
+        counts = self.first_solve_counts(0.01, range(3, 7))
+        assert max(counts) <= 20, counts
+        assert counts[-1] - counts[-2] <= 2, counts
