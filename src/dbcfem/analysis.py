@@ -29,8 +29,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.sparse.linalg import spsolve
 
-from .assembly import (DofMap, _cell_geometry, assemble_boundary_mass,
-                       assemble_mass, assemble_stiffness, _trace_values)
+from .assembly import (DofMap, _boundary_geometry, _cell_geometry,
+                       _trace_values, assemble_boundary_mass, assemble_mass,
+                       assemble_stiffness)
 from .elements import ReferenceBasis, segment_quadrature, triangle_quadrature
 
 
@@ -62,9 +63,9 @@ def _volume_setup(field, exactness):
     dofmap = field.dofmap
     rule = triangle_quadrature(2 * dofmap.degree + 2 if exactness is None
                                else exactness)
-    origin, jac, det = _cell_geometry(dofmap.mesh)
+    origin, jac, det, inv_t = _cell_geometry(dofmap.mesh)
     pts = origin[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)
-    return dofmap, rule, jac, det, pts
+    return dofmap, rule, inv_t, det, pts
 
 
 def error_L2(field, exact, exactness=None):
@@ -79,14 +80,8 @@ def error_L2(field, exact, exactness=None):
 
 def error_H1_semi(field, exact_grad, exactness=None):
     """sqrt of int |grad u_h - grad u|^2; exact_grad returns (g1, g2)."""
-    dofmap, rule, jac, det, pts = _volume_setup(field, exactness)
+    dofmap, rule, inv_t, det, pts = _volume_setup(field, exactness)
     grads = ReferenceBasis(dofmap.degree).gradients(rule.points)
-    inv_t = np.empty_like(jac)
-    inv_t[:, 0, 0] = jac[:, 1, 1]
-    inv_t[:, 0, 1] = -jac[:, 1, 0]
-    inv_t[:, 1, 0] = -jac[:, 0, 1]
-    inv_t[:, 1, 1] = jac[:, 0, 0]
-    inv_t /= det[:, None, None]
     phys = np.einsum("tab,nqb->tnqa", inv_t, grads)
     gh = np.einsum("tn,tnqa->tqa", field.coeffs[dofmap.cell_dofs], phys)
     g1, g2 = exact_grad(pts[..., 0], pts[..., 1])
@@ -95,13 +90,6 @@ def error_H1_semi(field, exact_grad, exactness=None):
                   axis=2)
     diff = gh - ge
     return math.sqrt(np.einsum("q,t,tqa->", rule.weights, det, diff ** 2))
-
-
-def _boundary_geometry(dofmap):
-    mesh = dofmap.mesh
-    a = mesh.vertices[mesh.boundary_edges[:, 0]]
-    b = mesh.vertices[mesh.boundary_edges[:, 1]]
-    return a, b, np.sqrt(((b - a) ** 2).sum(axis=1))
 
 
 def error_L2_boundary(field, exact, exactness=None):

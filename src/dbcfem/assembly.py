@@ -29,6 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .elements import ReferenceBasis, segment_quadrature, triangle_quadrature
+from .mesh import edge_lookup, edge_numbering
 
 
 class DofMap:
@@ -55,25 +56,15 @@ class DofMap:
             self.coords = mesh.vertices
             bset = np.unique(mesh.boundary_edges)
         else:
-            pairs = np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-            pairs.sort(axis=1)
-            edges = np.unique(pairs, axis=0)
-            edge_id = {(int(a), int(b)): nv + k for k, (a, b) in enumerate(edges)}
-
-            def mid(a, b):
-                return edge_id[(a, b) if a < b else (b, a)]
-
-            cell = np.empty((len(tri), 6), dtype=np.int64)
-            cell[:, :3] = tri
-            for t, (a, b, c) in enumerate(tri):
-                a, b, c = int(a), int(b), int(c)
-                cell[t, 3:] = (mid(a, b), mid(b, c), mid(c, a))
-            edofs = np.empty((len(mesh.boundary_edges), 3), dtype=np.int64)
-            for k, (u, v) in enumerate(mesh.boundary_edges):
-                edofs[k] = (u, v, mid(int(u), int(v)))
+            # edge dofs follow the edge numbering that refine_uniform
+            # gives the next level's new vertices
+            edges, cell_edges = edge_numbering(tri)
+            edofs = np.column_stack([
+                mesh.boundary_edges,
+                nv + edge_lookup(edges, mesh.boundary_edges)])
 
             self.num_dofs = nv + len(edges)
-            self.cell_dofs = cell
+            self.cell_dofs = np.hstack([tri, nv + cell_edges])
             self.edge_dofs = edofs
             mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
             self.coords = np.vstack([mesh.vertices, mids])
@@ -95,10 +86,25 @@ def _finalize(rows, cols, data, shape):
 
 
 def _cell_geometry(mesh):
+    """Per triangle: origin, Jacobian, determinant, inverse transpose."""
     p = mesh.vertices[mesh.triangles]          # (nt, 3, 2)
     jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    return p[:, 0], jac, det
+    inv_t = np.empty_like(jac)
+    inv_t[:, 0, 0] = jac[:, 1, 1]
+    inv_t[:, 0, 1] = -jac[:, 1, 0]
+    inv_t[:, 1, 0] = -jac[:, 0, 1]
+    inv_t[:, 1, 1] = jac[:, 0, 0]
+    inv_t /= det[:, None, None]
+    return p[:, 0], jac, det, inv_t
+
+
+def _boundary_geometry(dofmap):
+    """Per boundary edge: start point, end point and length."""
+    mesh = dofmap.mesh
+    a = mesh.vertices[mesh.boundary_edges[:, 0]]
+    b = mesh.vertices[mesh.boundary_edges[:, 1]]
+    return a, b, np.sqrt(((b - a) ** 2).sum(axis=1))
 
 
 def _scatter(dofmap, local):
@@ -116,14 +122,7 @@ def assemble_stiffness(dofmap):
     basis = ReferenceBasis(dofmap.degree)
     grads = basis.gradients(rule.points)       # (nd, nq, 2)
 
-    _, jac, det = _cell_geometry(mesh)
-    inv_t = np.empty_like(jac)
-    inv_t[:, 0, 0] = jac[:, 1, 1]
-    inv_t[:, 0, 1] = -jac[:, 1, 0]
-    inv_t[:, 1, 0] = -jac[:, 0, 1]
-    inv_t[:, 1, 1] = jac[:, 0, 0]
-    inv_t /= det[:, None, None]
-
+    _, _, det, inv_t = _cell_geometry(mesh)
     phys = np.einsum("tab,nqb->tnqa", inv_t, grads)
     local = np.einsum("q,t,tnqa,tmqa->tnm", rule.weights, det, phys, phys)
     return _scatter(dofmap, local)
@@ -133,7 +132,7 @@ def assemble_mass(dofmap):
     """N x N matrix with entries (phi_j, phi_i) over the domain."""
     rule = triangle_quadrature(2 * dofmap.degree)
     vals = ReferenceBasis(dofmap.degree).values(rule.points)  # (nd, nq)
-    _, _, det = _cell_geometry(dofmap.mesh)
+    _, _, det, _ = _cell_geometry(dofmap.mesh)
     local = np.einsum("q,t,nq,mq->tnm", rule.weights, det, vals, vals)
     return _scatter(dofmap, local)
 
@@ -149,14 +148,9 @@ def assemble_boundary_mass(dofmap):
 
     Rows and columns of interior dofs are identically zero.
     """
-    mesh = dofmap.mesh
     rule = segment_quadrature(2 * dofmap.degree)
     vals = _trace_values(dofmap.degree, rule.points)  # (nd, nq)
-
-    a = mesh.vertices[mesh.boundary_edges[:, 0]]
-    b = mesh.vertices[mesh.boundary_edges[:, 1]]
-    lengths = np.sqrt(((b - a) ** 2).sum(axis=1))
-
+    _, _, lengths = _boundary_geometry(dofmap)
     local = np.einsum("q,e,nq,mq->enm", rule.weights, lengths, vals, vals)
     nd = dofmap.edge_dofs.shape[1]
     rows = np.repeat(dofmap.edge_dofs, nd, axis=1).ravel()
@@ -175,7 +169,7 @@ def assemble_load(dofmap, g, exactness=None):
     rule = triangle_quadrature(2 * dofmap.degree + 2 if exactness is None
                                else exactness)
     vals = ReferenceBasis(dofmap.degree).values(rule.points)
-    origin, jac, det = _cell_geometry(mesh)
+    origin, jac, det, _ = _cell_geometry(mesh)
 
     pts = origin[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)
     gv = np.asarray(g(pts[..., 0].ravel(), pts[..., 1].ravel()),

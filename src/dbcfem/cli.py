@@ -31,16 +31,14 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .analysis import (boundary_walk_dofs, error_H1_semi, error_L2,
-                       error_L2_boundary, seminorm_H_half_boundary,
-                       verify_boundary_bubble_estimate,
+from .analysis import (boundary_walk_dofs, verify_boundary_bubble_estimate,
                        verify_discrete_stability, verify_L2_controlled_by_H1)
 from .assembly import assemble_boundary_mass, assemble_mass
 from .expr import EvalError, ParseError
 from .linalg import SolverError, save_matrix_market
-from .mesh import export_vtk
-from .problems import (ConfigError, config_hash, load_config, run_convergence,
-                       solve_level)
+from .mesh import export_vtk, mesh_hierarchy
+from .problems import (_NEEDS, ConfigError, _errors_exact, config_hash,
+                       load_config, run_convergence, solve_level)
 
 _TOLERANCES = {
     "homogeneous": 1e-12,
@@ -118,20 +116,9 @@ def cmd_solve(args):
         "l2_u_boundary": math.sqrt(sol.y.coeffs @ (bmass @ sol.y.coeffs)),
     }
     if spec.exact is not None:
-        errors = {}
-        if "y" in spec.exact:
-            errors["l2_y"] = error_L2(sol.y, spec.field(spec.exact["y"]))
-        if "y_grad" in spec.exact:
-            g1 = spec.field(spec.exact["y_grad"][0])
-            g2 = spec.field(spec.exact["y_grad"][1])
-            errors["h1_y"] = error_H1_semi(
-                sol.y, lambda x1, x2: (g1(x1, x2), g2(x1, x2)))
-        if "z" in spec.exact:
-            errors["l2_z"] = error_L2(sol.z, spec.field(spec.exact["z"]))
-        if "u" in spec.exact:
-            errors["l2_u"] = error_L2_boundary(
-                sol.y, spec.field(spec.exact["u"]))
-        norms["errors"] = errors
+        norms["errors"] = _errors_exact(
+            spec, sol, [key for key in ("l2_y", "h1_y", "l2_z", "l2_u")
+                        if _NEEDS[key] in spec.exact])
 
     record = _record("solve", spec, [sol], report={
         "level": sol.level, "num_dofs": dofmap.num_dofs,
@@ -181,12 +168,13 @@ def _verify_checks(spec):
     solution, or too few levels).
     """
     checks = []
-    solutions = [solve_level(spec, lv) for lv in spec.levels]
+    meshes = mesh_hierarchy(spec.domain, max(spec.levels))
+    solutions = [solve_level(spec, lv, mesh=meshes[lv]) for lv in spec.levels]
 
     zero_spec = dataclasses.replace(spec, f="0", y_d="0")
     worst = 0.0
     for lv in spec.levels:
-        sol = solve_level(zero_spec, lv)
+        sol = solve_level(zero_spec, lv, mesh=meshes[lv])
         worst = max(worst, float(np.abs(sol.y.coeffs).max()),
                     float(np.abs(sol.z.coeffs).max()))
     tol = _TOLERANCES["homogeneous"]

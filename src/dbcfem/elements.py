@@ -73,12 +73,6 @@ class ReferenceBasis:
         return g
 
 
-def eval_basis(degree, points):
-    """Return (values, gradients) of the degree-k basis at reference points."""
-    basis = ReferenceBasis(degree)
-    return basis.values(points), basis.gradients(points)
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Points and weights on a reference element.

@@ -1,4 +1,4 @@
-"""Solvers for the coupled block system and small sparse kernels.
+"""Solvers for the coupled block system and a Matrix Market writer.
 
 The coupled matrix [[A, 0], [B, C]] is nonsymmetric but uniquely
 solvable for any gamma > 0.  The default, reduced-pcg, uses that the
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmread, mmwrite
+from scipy.io import mmwrite
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 METHODS = ("reduced-pcg", "direct-lu")
@@ -47,15 +47,6 @@ class SolverConfig:
             raise ValueError("max_iterations must be positive")
 
 
-def spmv(m, x):
-    """Sparse matrix-vector product with an explicit dimension check."""
-    x = np.asarray(x)
-    if m.shape[1] != x.shape[0]:
-        raise ValueError("dimension mismatch: matrix is %dx%d, vector has %d"
-                         % (m.shape[0], m.shape[1], x.shape[0]))
-    return m @ x
-
-
 def _residual_vector(full, rhs, x):
     """rhs - full·x accumulated in 80-bit precision.
 
@@ -72,14 +63,23 @@ def _residual_vector(full, rhs, x):
 
 
 def _refine(full, rhs, x, apply_inverse, tolerance):
-    """Iterative refinement sweeps until the residual clears the gate."""
+    """Up to three refinement sweeps, until the residual clears the gate
+    or a sweep does not lower it; returns the iterate with the smallest
+    residual.  A solution at the double-precision floor cannot improve,
+    so sweeps past that point would only repeat the same work.
+    """
     bnorm = np.linalg.norm(rhs)
+    r = _residual_vector(full, rhs, x)
+    rnorm = float(np.linalg.norm(r.astype(np.float64)))
     for _ in range(3):
-        r = _residual_vector(full, rhs, x)
-        rnorm = float(np.linalg.norm(r.astype(np.float64)))
         if rnorm <= 0.25 * tolerance * bnorm:
             break
-        x = x + apply_inverse(r.astype(np.float64))
+        x_new = x + apply_inverse(r.astype(np.float64))
+        r_new = _residual_vector(full, rhs, x_new)
+        rnorm_new = float(np.linalg.norm(r_new.astype(np.float64)))
+        if not rnorm_new < rnorm:
+            break
+        x, r, rnorm = x_new, r_new, rnorm_new
     return x
 
 
@@ -138,7 +138,8 @@ def solve_block(system, config=None, stats=None):
         config -- SolverConfig; default is reduced-pcg with a 1e-12
                   relative residual tolerance
         stats  -- dict that receives "iterations": the CG count of the
-                  first solve and of each refinement sweep (direct-lu: [])
+                  first solve and of each refinement sweep (direct-lu:
+                  []), and "residual": the relative residual of the gate
 
     Raises SolverError if a factorization fails, CG runs out of
     iterations, or the relative residual exceeds the tolerance.
@@ -161,6 +162,8 @@ def solve_block(system, config=None, stats=None):
     x = _refine(full, b, apply_inverse(b), apply_inverse, config.tolerance)
 
     rel = residual(system, x[:n], x[n:])
+    if stats is not None:
+        stats["residual"] = rel
     if not rel <= config.tolerance:
         raise SolverError("relative residual %.3e exceeds tolerance %.1e"
                           % (rel, config.tolerance))
@@ -180,7 +183,3 @@ def residual(system, Y, Z):
 def save_matrix_market(path, matrix):
     """Dump a sparse matrix in Matrix Market coordinate format."""
     mmwrite(str(path), sp.coo_matrix(matrix))
-
-
-def load_matrix_market(path):
-    return mmread(str(path)).tocsr()

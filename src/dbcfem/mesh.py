@@ -116,6 +116,40 @@ def make_initial_mesh(rect):
                    level=0, h_max=_h_max(vertices, triangles))
 
 
+def edge_numbering(triangles):
+    """Number the edges of a triangulation in lexicographic order.
+
+    Return: (edges, cell_edges) -- edges is (ne, 2), each row a sorted
+    vertex pair, rows sorted lexicographically; cell_edges is (nt, 3),
+    the ids of each triangle's edges v0v1, v1v2 and v2v0.
+    """
+    tri = np.asarray(triangles, dtype=np.int64)
+    n = int(tri.max()) + 1
+    pairs = np.sort(np.stack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]),
+                    axis=2)                                  # (3, nt, 2)
+    # one integer key per sorted pair orders the keys like the pairs
+    keys, inverse = np.unique(pairs[..., 0] * n + pairs[..., 1],
+                              return_inverse=True)
+    edges = np.column_stack([keys // n, keys % n])
+    return edges, inverse.reshape(3, -1).T
+
+
+def edge_lookup(edges, pairs):
+    """Ids in `edges` (from edge_numbering) of the given vertex pairs.
+
+    Pairs may come in either orientation; a pair that is not an edge
+    raises KeyError.
+    """
+    pairs = np.sort(np.asarray(pairs, dtype=np.int64), axis=1)
+    n = int(max(edges.max(), pairs.max())) + 1
+    keys = edges[:, 0] * n + edges[:, 1]
+    want = pairs[:, 0] * n + pairs[:, 1]
+    ids = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    if not (keys[ids] == want).all():
+        raise KeyError("vertex pair is not an edge of the triangulation")
+    return ids
+
+
 def refine_uniform(mesh):
     """Split every triangle into 4 congruent children by edge midpoints.
 
@@ -124,53 +158,35 @@ def refine_uniform(mesh):
     the two remaining edges.  This equals two sweeps of longest-edge
     bisection and, on right triangles, yields 4 congruent children
     with legs halved.  All three edge midpoints become new vertices,
-    so the refined vertex set (and one-level interpolation) is the
-    same as for the midpoint-triangle split.
+    numbered after the coarse ones in edge_numbering order, so the
+    refined vertex set (and one-level interpolation) is the same as for
+    the midpoint-triangle split.
     """
     tri = mesh.triangles
     nv = mesh.num_vertices
-
-    # deterministic edge numbering: lexicographically sorted vertex pairs
-    pairs = np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-    pairs.sort(axis=1)
-    edges = np.unique(pairs, axis=0)
-    edge_id = {(int(a), int(b)): nv + k for k, (a, b) in enumerate(edges)}
+    edges, cell_edges = edge_numbering(tri)
+    mids = nv + cell_edges               # midpoints of v0v1, v1v2, v2v0
 
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     vertices = np.vstack([mesh.vertices, midpoints])
 
-    def mid(a, b):
-        return edge_id[(a, b) if a < b else (b, a)]
-
-    # rotate each (ccw) triangle so the longest edge comes first; ties
-    # cannot occur for the right triangles this family produces, and
-    # argmax breaks them deterministically anyway
+    # rotate each (ccw) triangle so the longest edge comes first, as
+    # (vi, vj, vk); ties cannot occur for the right triangles this
+    # family produces, and argmax breaks them deterministically anyway
     longest = np.argmax(_edge_lengths_sq(mesh.vertices, tri), axis=1)
+    rows = np.arange(len(tri))[:, None]
+    turn = (longest[:, None] + np.arange(3)) % 3
+    vi, vj, vk = tri[rows, turn].T
+    q, mkj, mik = mids[rows, turn].T     # midpoints of vivj, vjvk, vkvi
 
-    children = np.empty((4 * len(tri), 3), dtype=np.int64)
-    for t, (a, b, c) in enumerate(tri):
-        a, b, c = int(a), int(b), int(c)
-        e = longest[t]
-        if e == 0:
-            vi, vj, vk = a, b, c
-        elif e == 1:
-            vi, vj, vk = b, c, a
-        else:
-            vi, vj, vk = c, a, b
-        q = mid(vi, vj)
-        mik = mid(vi, vk)
-        mkj = mid(vk, vj)
-        children[4 * t:4 * t + 4] = [
-            [q, mik, vi], [q, vk, mik], [q, mkj, vk], [q, vj, mkj]]
+    children = np.stack([q, mik, vi, q, vk, mik, q, mkj, vk, q, vj, mkj],
+                        axis=1).reshape(-1, 3)
 
-    nbe = len(mesh.boundary_edges)
-    bnd = np.empty((2 * nbe, 2), dtype=np.int64)
-    markers = np.empty(2 * nbe, dtype=np.int64)
-    for k, (u, v) in enumerate(mesh.boundary_edges):
-        m = mid(int(u), int(v))
-        bnd[2 * k] = (u, m)
-        bnd[2 * k + 1] = (m, v)
-        markers[2 * k:2 * k + 2] = mesh.boundary_markers[k]
+    # each boundary edge (u, v) becomes (u, m), (m, v) in walk order
+    u, v = mesh.boundary_edges.T
+    m = nv + edge_lookup(edges, mesh.boundary_edges)
+    bnd = np.stack([u, m, m, v], axis=1).reshape(-1, 2)
+    markers = np.repeat(mesh.boundary_markers, 2)
 
     return TriMesh(vertices, children, bnd, markers,
                    level=mesh.level + 1,
@@ -217,17 +233,18 @@ def check_mesh(mesh):
     """
     assert (signed_areas(mesh) > 0).all(), "negatively oriented triangle"
 
-    tri = mesh.triangles
-    pairs = np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-    pairs.sort(axis=1)
-    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
+    edges, cell_edges = edge_numbering(mesh.triangles)
+    counts = np.bincount(cell_edges.ravel(), minlength=len(edges))
     assert counts.max() <= 2, "edge shared by more than two triangles"
 
-    walk = np.sort(np.asarray(mesh.boundary_edges), axis=1)
-    walk_set = {(int(a), int(b)) for a, b in walk}
-    single = {(int(a), int(b)) for a, b in uniq[counts == 1]}
-    assert walk_set == single, "boundary walk differs from single-count edges"
-    assert len(walk_set) == len(mesh.boundary_edges), "duplicate boundary edge"
+    differs = "boundary walk differs from single-count edges"
+    try:
+        walk = edge_lookup(edges, mesh.boundary_edges)
+    except KeyError:
+        raise AssertionError(differs) from None
+    single = np.flatnonzero(counts == 1)
+    assert (counts[walk] == 1).all() and np.isin(single, walk).all(), differs
+    assert len(walk) == len(single), "duplicate boundary edge"
     # closed walk: consecutive edges chain head to tail
     heads = mesh.boundary_edges[:, 0]
     tails = np.roll(mesh.boundary_edges[:, 1], 1)

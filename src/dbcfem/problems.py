@@ -32,8 +32,8 @@ from .analysis import (ConvergenceReport, FemField, compute_eoc, error_H1_semi,
                        error_L2, error_L2_boundary)
 from .assembly import (DofMap, assemble_boundary_mass, assemble_mass,
                        assemble_stiffness, build_block_system)
-from .linalg import METHODS, SolverConfig, residual, solve_block
-from .mesh import make_initial_mesh, mesh_hierarchy, prolong_linear, refine_uniform
+from .linalg import METHODS, SolverConfig, solve_block
+from .mesh import mesh_hierarchy, prolong_linear
 
 
 class ConfigError(ValueError):
@@ -319,9 +319,7 @@ def solve_level(spec, level, mesh=None, solver_config=None):
         raise ConfigError("refinement level must be nonnegative, got %d"
                           % level)
     if mesh is None:
-        mesh = make_initial_mesh(spec.domain)
-        for _ in range(level):
-            mesh = refine_uniform(mesh)
+        mesh = mesh_hierarchy(spec.domain, level)[-1]
     dofmap = DofMap(mesh, spec.degree)
     system = build_block_system(dofmap, spec.gamma, spec.field(spec.f),
                                 spec.field(spec.y_d))
@@ -339,7 +337,7 @@ def solve_level(spec, level, mesh=None, solver_config=None):
                     np.linalg.norm(system.G))
     return LevelSolution(level=level, dofmap=dofmap, system=system,
                          y=FemField(dofmap, Y), z=FemField(dofmap, zfull),
-                         residual=residual(system, Y, Z),
+                         residual=stats["residual"],
                          galerkin_residual=gal, adjoint_residual=adj,
                          iterations=sum(stats["iterations"]))
 
@@ -365,11 +363,12 @@ def get_reference(spec, mesh=None, solver_config=None):
     return sol.y.coeffs, sol.z.coeffs
 
 
-def _errors_exact(spec, sol):
+def _errors_exact(spec, sol, keys):
+    """Errors of sol against the closed-form solutions, one per norm key."""
     fns = {}
     exact = spec.exact
     out = {}
-    for key, _ in spec.columns:
+    for key in keys:
         name = _NEEDS[key]
         if name not in fns:
             if name.endswith("_grad"):
@@ -407,12 +406,7 @@ def run_convergence(spec, solver_config=None):
     solutions = []
 
     if spec.exact is not None:
-        for level in spec.levels:
-            sol = solve_level(spec, level, solver_config=solver_config)
-            hs.append(sol.dofmap.mesh.h_max)
-            solutions.append(sol)
-            for key, value in _errors_exact(spec, sol).items():
-                errors[key].append(value)
+        meshes = mesh_hierarchy(spec.domain, max(spec.levels))
     else:
         meshes = mesh_hierarchy(spec.domain, spec.reference_level)
         ref_dofmap = DofMap(meshes[-1], 1)
@@ -428,18 +422,23 @@ def run_convergence(spec, solver_config=None):
             "h1_z": lambda ey, ez: np.sqrt(ez @ (stiff @ ez)),
             "l2_u": lambda ey, ez: np.sqrt(ey @ (bmass @ ey)),
         }
-        for level in spec.levels:
-            sol = solve_level(spec, level, mesh=meshes[level],
-                              solver_config=solver_config)
-            hs.append(sol.dofmap.mesh.h_max)
-            solutions.append(sol)
+
+    for level in spec.levels:
+        sol = solve_level(spec, level, mesh=meshes[level],
+                          solver_config=solver_config)
+        hs.append(sol.dofmap.mesh.h_max)
+        solutions.append(sol)
+        if spec.exact is not None:
+            level_errors = _errors_exact(spec, sol, keys)
+        else:
             py, pz = sol.y.coeffs, sol.z.coeffs
             for fine in meshes[level + 1:]:
                 py = prolong_linear(py, fine)
                 pz = prolong_linear(pz, fine)
             ey, ez = py - yref, pz - zref
-            for key in keys:
-                errors[key].append(float(norms[key](ey, ez)))
+            level_errors = {key: float(norms[key](ey, ez)) for key in keys}
+        for key in keys:
+            errors[key].append(level_errors[key])
 
     report = ConvergenceReport(
         problem=spec.name, gamma=spec.gamma, degree=spec.degree,

@@ -6,7 +6,8 @@ import pytest
 from dbcfem.assembly import (DofMap, assemble_boundary_mass, assemble_load,
                              assemble_mass, assemble_stiffness,
                              build_block_system)
-from dbcfem.mesh import TriMesh, make_initial_mesh, refine_uniform
+from dbcfem.mesh import (TriMesh, make_initial_mesh, mesh_hierarchy,
+                         refine_uniform)
 
 from oracles import (as_float, dense_global_matrix, local_edge_mass_exact,
                      local_mass_exact, local_stiffness_exact)
@@ -262,6 +263,30 @@ class TestDofMap:
             dofmap = DofMap(mesh, 1)
             assert dofmap.num_dofs == (2 ** (level + 1) + 1) ** 2
             assert len(dofmap.boundary) == 8 * 2 ** level
+
+    def test_p2_edge_dofs_are_the_next_levels_vertices(self):
+        for mesh in mesh_hierarchy(UNIT, 4):
+            nv = mesh.num_vertices
+            coords = DofMap(mesh, 2).coords
+            assert np.array_equal(coords[nv:],
+                                  refine_uniform(mesh).vertices[nv:])
+
+    def test_p2_dofs_match_the_loop_reference(self):
+        # edge dofs numbered by a dict of sorted vertex pairs, filled
+        # triangle by triangle: the numbering the tables were made with
+        mesh = mesh_hierarchy(UNIT, 2)[-1]
+        nv = mesh.num_vertices
+        key = lambda a, b: (int(min(a, b)), int(max(a, b)))
+        edges = sorted({key(*p) for a, b, c in mesh.triangles
+                        for p in ((a, b), (b, c), (c, a))})
+        mid = {e: nv + k for k, e in enumerate(edges)}
+        m = lambda a, b: mid[key(a, b)]
+        dofmap = DofMap(mesh, 2)
+        assert np.array_equal(dofmap.cell_dofs, [
+            [a, b, c, m(a, b), m(b, c), m(c, a)]
+            for a, b, c in mesh.triangles])
+        assert np.array_equal(dofmap.edge_dofs, [
+            [u, v, m(u, v)] for u, v in mesh.boundary_edges])
 
     def test_p2_counts(self):
         mesh = refine_uniform(make_initial_mesh(UNIT))

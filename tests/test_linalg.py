@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.io import mmread
 
 from dbcfem.assembly import BlockSystem, DofMap, build_block_system
-from dbcfem.linalg import (SolverConfig, SolverError, load_matrix_market,
-                           residual, save_matrix_market, solve_block, spmv)
+from dbcfem.linalg import (SolverConfig, SolverError, residual,
+                           save_matrix_market, solve_block)
 from dbcfem.mesh import make_initial_mesh, refine_uniform
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
@@ -97,8 +98,11 @@ class TestSolveBlock:
     def test_iteration_counts_reported(self):
         system = example_system(level=3)
         stats = {}
-        solve_block(system, SolverConfig(method="direct-lu"), stats=stats)
-        assert stats == {"iterations": []}
+        Y, Z = solve_block(system, SolverConfig(method="direct-lu"),
+                           stats=stats)
+        assert stats["iterations"] == []
+        assert stats["residual"] == residual(system, Y, Z)
+        assert stats["residual"] <= 1e-12
         stats = {}
         solve_block(system, stats=stats)
         assert len(stats["iterations"]) >= 1
@@ -150,31 +154,12 @@ class TestSolveBlock:
             assert np.abs(Zp - Z[perm_i]).max() <= 1e-10 * np.abs(Y).max()
 
 
-class TestSpmv:
-    def test_identity_and_zero(self):
-        x = np.arange(5.0)
-        assert np.array_equal(spmv(sp.eye(5, format="csr"), x), x)
-        assert np.array_equal(spmv(sp.csr_matrix((5, 5)), x), np.zeros(5))
-
-    def test_matches_dense_product(self):
-        rng = np.random.default_rng(3)
-        dense = rng.normal(size=(5, 5))
-        dense[np.abs(dense) < 0.6] = 0.0
-        x = rng.normal(size=5)
-        got = spmv(sp.csr_matrix(dense), x)
-        assert np.abs(got - dense @ x).max() <= 1e-15
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            spmv(sp.eye(4, format="csr"), np.zeros(5))
-
-
 class TestMatrixMarket:
     def test_round_trip(self, tmp_path):
         system = example_system(level=1)
         path = tmp_path / "system.mtx"
         save_matrix_market(path, system.full())
-        back = load_matrix_market(path)
+        back = mmread(str(path)).tocsr()
         assert back.shape == system.full().shape
         assert np.abs(back - system.full()).max() <= 1e-15
 
@@ -182,7 +167,7 @@ class TestMatrixMarket:
         system = example_system(level=1)
         path = tmp_path / "rhs.mtx"
         save_matrix_market(path, system.rhs().reshape(-1, 1))
-        back = load_matrix_market(path)
+        back = mmread(str(path)).tocsr()
         assert np.abs(np.asarray(back.todense()).ravel()
                       - system.rhs()).max() <= 1e-15
 

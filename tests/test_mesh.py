@@ -1,5 +1,6 @@
 """Mesh construction, uniform refinement, and VTK export."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbcfem.mesh import (TriMesh, check_mesh, export_vtk, make_initial_mesh,
-                         mesh_hierarchy, prolong_linear, refine_uniform,
-                         signed_areas)
+from dbcfem.mesh import (TriMesh, check_mesh, edge_numbering, export_vtk,
+                         make_initial_mesh, mesh_hierarchy, prolong_linear,
+                         refine_uniform, signed_areas)
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 QUARTER = (0.0, 0.25, 0.0, 0.25)
@@ -175,6 +176,48 @@ class TestRefinement:
                       level=0, h_max=mesh.h_max)
         with pytest.raises(AssertionError):
             check_mesh(bad)
+
+
+class TestEdgeNumbering:
+    @pytest.mark.parametrize("pair", [(0, 8), (0, 4)])
+    def test_check_mesh_catches_a_walk_edge_off_the_boundary(self, pair):
+        # (0, 8) is no edge at all, (0, 4) an interior diagonal
+        mesh = make_initial_mesh(UNIT)
+        walk = mesh.boundary_edges.copy()
+        walk[0] = pair
+        bad = TriMesh(vertices=mesh.vertices.copy(),
+                      triangles=mesh.triangles.copy(), boundary_edges=walk,
+                      boundary_markers=mesh.boundary_markers.copy(),
+                      level=0, h_max=mesh.h_max)
+        with pytest.raises(AssertionError, match="differs"):
+            check_mesh(bad)
+
+    def test_initial_mesh_edges(self):
+        tri = make_initial_mesh(UNIT).triangles
+        edges, cell_edges = edge_numbering(tri)
+        assert edges.shape == (16, 2)
+        assert (edges[:, 0] < edges[:, 1]).all()
+        assert np.array_equal(edges, np.unique(edges, axis=0))  # sorted
+        assert cell_edges.shape == (8, 3)
+        for t, (a, b, c) in enumerate(tri):
+            for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
+                assert tuple(edges[cell_edges[t, k]]) == (min(u, v), max(u, v))
+
+    def test_level4_arrays_are_pinned(self):
+        # sha256 of the raw int64 bytes; the convergence tables depend on
+        # this element and vertex order
+        mesh = mesh_hierarchy(UNIT, 4)[-1]
+        digests = {
+            "triangles": "d53e9e71baa22330c9eec68ed8aac89f"
+                         "03cd31cc4d205f6c3e0b5fd9ca8bc9de",
+            "boundary_edges": "68a13224a84a3dfc6e03cc40252351ad"
+                              "e74450d02094d2f8e6c021050e6f0ee0",
+            "midpoint_of": "0354bdc50448ef2bccd786aca2047fa0"
+                           "0306445ea17909d1cb7fab7cb5617bdf",
+        }
+        for name, digest in digests.items():
+            arr = np.ascontiguousarray(getattr(mesh, name), dtype=np.int64)
+            assert hashlib.sha256(arr.tobytes()).hexdigest() == digest, name
 
 
 class TestProlongation:

@@ -237,6 +237,21 @@ class TestRunConvergence:
             vals = report.errors[key]
             assert vals[0] > vals[1] > vals[2] > 0
 
+    def test_one_mesh_hierarchy_per_run(self, monkeypatch):
+        import dbcfem.mesh as mesh
+
+        calls = []
+        original = mesh.refine_uniform
+
+        def counting(coarse):
+            calls.append(coarse.level)
+            return original(coarse)
+
+        monkeypatch.setattr(mesh, "refine_uniform", counting)
+        spec = load_config("example1")
+        run_convergence(spec)
+        assert len(calls) == max(spec.levels)
+
     def test_reference_errors_shrink(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DBCFEM_CACHE_DIR", str(tmp_path))
         spec = load_config("example2")
