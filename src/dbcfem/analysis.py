@@ -30,8 +30,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.sparse.linalg import spsolve
 
 from .assembly import (DofMap, _boundary_geometry, _cell_geometry,
-                       _trace_values, assemble_boundary_mass, assemble_mass,
-                       assemble_stiffness)
+                       _trace_values)
 from .elements import ReferenceBasis, segment_quadrature, triangle_quadrature
 
 
@@ -217,8 +216,7 @@ def boundary_L2_projection(dofmap, q, exactness=None):
     rhs_full = np.zeros(dofmap.num_dofs)
     np.add.at(rhs_full, dofmap.edge_dofs.ravel(), contrib.ravel())
 
-    bmass = assemble_boundary_mass(dofmap)
-    bb = bmass[dofmap.boundary, :][:, dofmap.boundary].tocsc()
+    bb = dofmap.boundary_mass[dofmap.boundary, :][:, dofmap.boundary].tocsc()
     return spsolve(bb, rhs_full[dofmap.boundary])
 
 
@@ -281,11 +279,9 @@ def verify_boundary_bubble_estimate(dofmap, trials=100, seed=0):
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    stiff = assemble_stiffness(dofmap)
-    bmass = assemble_boundary_mass(dofmap)
     bnd = dofmap.boundary
-    k_bb = stiff[bnd, :][:, bnd]
-    m_bb = bmass[bnd, :][:, bnd]
+    k_bb = dofmap.stiffness[bnd, :][:, bnd]
+    m_bb = dofmap.boundary_mass[bnd, :][:, bnd]
 
     rng = np.random.default_rng(seed)
     best = 0.0
@@ -316,11 +312,9 @@ def verify_discrete_stability(field, gamma):
     caller compares across levels.
     """
     dofmap = field.dofmap
-    mass = assemble_mass(dofmap)
-    bmass = assemble_boundary_mass(dofmap)
     v = field.coeffs
-    combined = (math.sqrt(gamma) * math.sqrt(v @ (bmass @ v))
-                + math.sqrt(v @ (mass @ v)))
+    combined = (math.sqrt(gamma) * math.sqrt(v @ (dofmap.boundary_mass @ v))
+                + math.sqrt(v @ (dofmap.mass @ v)))
     if not v.any():
         return 0.0, 0.0
     return combined, seminorm_H_half_boundary(field)

@@ -17,13 +17,14 @@ the |I| interior dofs, the algebraic form is
     [ B  C ] [Z] = [G]      B = -(M + gamma * M_Gamma),  C = interior
                                 stiffness columns,  G = -(y_d, phi)
 
-The full N x N stiffness matrix is assembled once; A and C are row and
-column restrictions of it, which keeps the two blocks consistent by
-construction.  The homogeneous condition on z is imposed by dropping
-boundary columns (C has |I| columns), never by penalty.
+The full N x N stiffness matrix is assembled once per DofMap; A and C
+are row and column restrictions of it, which keeps the two blocks
+consistent by construction.  The homogeneous condition on z is imposed
+by dropping boundary columns (C has |I| columns), never by penalty.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +39,9 @@ class DofMap:
     Vertex dofs come first and reuse the vertex indices; degree-2 maps
     append one dof per mesh edge.  `boundary` and `interior` are sorted
     index arrays partitioning range(N); boundary dofs are exactly those
-    whose nodes lie on the rectangle boundary.
+    whose nodes lie on the rectangle boundary.  The N x N operators
+    `stiffness`, `mass` and `boundary_mass` are assembled on first use
+    and then shared by every consumer of the map.
     """
 
     def __init__(self, mesh, degree=1):
@@ -74,6 +77,18 @@ class DofMap:
         mask = np.ones(self.num_dofs, dtype=bool)
         mask[self.boundary] = False
         self.interior = np.flatnonzero(mask).astype(np.int64)
+
+    @cached_property
+    def stiffness(self):
+        return assemble_stiffness(self)
+
+    @cached_property
+    def mass(self):
+        return assemble_mass(self)
+
+    @cached_property
+    def boundary_mass(self):
+        return assemble_boundary_mass(self)
 
 
 def _finalize(rows, cols, data, shape):
@@ -201,8 +216,6 @@ class BlockSystem:
     G: np.ndarray
     interior: np.ndarray
     boundary: np.ndarray
-    gamma: float = 1.0
-    dofmap: DofMap = None
 
     @property
     def num_dofs(self):
@@ -229,17 +242,13 @@ def build_block_system(dofmap, gamma, f, y_d):
     if not gamma > 0:
         raise ValueError("regularization weight gamma must be positive, got %r"
                          % (gamma,))
-    stiff = assemble_stiffness(dofmap)
-    mass = assemble_mass(dofmap)
-    bmass = assemble_boundary_mass(dofmap)
-
+    stiff = dofmap.stiffness
     interior = dofmap.interior
     A = stiff[interior, :]
     C = stiff[:, interior].tocsr()
-    B = (-(mass + gamma * bmass)).tocsr()
+    B = (-(dofmap.mass + gamma * dofmap.boundary_mass)).tocsr()
     B.sort_indices()
     F = assemble_load(dofmap, f)[interior]
     G = -assemble_load(dofmap, y_d)
     return BlockSystem(A=A, B=B, C=C, F=F, G=G,
-                       interior=interior, boundary=dofmap.boundary,
-                       gamma=gamma, dofmap=dofmap)
+                       interior=interior, boundary=dofmap.boundary)

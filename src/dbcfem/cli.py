@@ -33,7 +33,7 @@ import numpy as np
 
 from .analysis import (boundary_walk_dofs, verify_boundary_bubble_estimate,
                        verify_discrete_stability, verify_L2_controlled_by_H1)
-from .assembly import assemble_boundary_mass, assemble_mass
+from .assembly import DofMap
 from .expr import EvalError, ParseError
 from .linalg import SolverError, save_matrix_market
 from .mesh import export_vtk, mesh_hierarchy
@@ -108,8 +108,7 @@ def cmd_solve(args):
         save_matrix_market(os.path.join(args.out, "rhs.mtx"),
                            sol.system.rhs().reshape(-1, 1))
 
-    mass = assemble_mass(dofmap)
-    bmass = assemble_boundary_mass(dofmap)
+    mass, bmass = dofmap.mass, dofmap.boundary_mass
     norms = {
         "l2_y": math.sqrt(sol.y.coeffs @ (mass @ sol.y.coeffs)),
         "l2_z": math.sqrt(sol.z.coeffs @ (mass @ sol.z.coeffs)),
@@ -169,12 +168,13 @@ def _verify_checks(spec):
     """
     checks = []
     meshes = mesh_hierarchy(spec.domain, max(spec.levels))
-    solutions = [solve_level(spec, lv, mesh=meshes[lv]) for lv in spec.levels]
+    solutions = [solve_level(spec, lv, DofMap(meshes[lv], spec.degree))
+                 for lv in spec.levels]
 
     zero_spec = dataclasses.replace(spec, f="0", y_d="0")
     worst = 0.0
-    for lv in spec.levels:
-        sol = solve_level(zero_spec, lv, mesh=meshes[lv])
+    for s in solutions:
+        sol = solve_level(zero_spec, s.level, s.dofmap)
         worst = max(worst, float(np.abs(sol.y.coeffs).max()),
                     float(np.abs(sol.z.coeffs).max()))
     tol = _TOLERANCES["homogeneous"]

@@ -13,7 +13,8 @@ leaves one system for Y_B alone,
 solved by CG preconditioned with -B_BB = M_BB + gamma M_Gamma,BB; each
 product with H costs two solves with the K_II factors.  Z follows from
 the interior rows, K_II Z = G_I - (B Y)_I.  direct-lu factors the whole
-coupled matrix and is the small-N reference.
+coupled matrix and is the small-N reference; it is the only solver that
+forms that matrix.
 """
 
 from dataclasses import dataclass
@@ -47,35 +48,40 @@ class SolverConfig:
             raise ValueError("max_iterations must be positive")
 
 
-def _residual_vector(full, rhs, x):
-    """rhs - full·x accumulated in 80-bit precision.
+def _residual_vector(system, x):
+    """[F - A·Y; G - B·Y - C·Z] at x = [Y; Z], accumulated block by
+    block in 80-bit precision, so the coupled matrix is never formed.
 
     In plain double arithmetic the computed residual of a good solution
-    is dominated by rounding in the matrix-vector product itself, about
-    eps·|full|·|x| per row.  On the largest reference meshes with a
-    load vector much smaller than |full|·|x| (zero volume force), that
-    floor sits near 1e-11 relative, above the default gate; extended
-    accumulation pushes it out of the way.
+    is dominated by rounding in the matrix-vector products themselves,
+    about eps·|matrix|·|x| per row.  On the largest reference meshes
+    with a load vector much smaller than |matrix|·|x| (zero volume
+    force), that floor sits near 1e-11 relative, above the default gate;
+    extended accumulation pushes it out of the way.
     """
-    r = rhs.astype(np.longdouble)
-    r -= full.astype(np.longdouble) @ x.astype(np.longdouble)
-    return r
+    ld = np.longdouble
+    n = system.num_dofs
+    Y, Z = x[:n].astype(ld), x[n:].astype(ld)
+    top = system.F.astype(ld) - system.A.astype(ld) @ Y
+    bottom = (system.G.astype(ld) - system.B.astype(ld) @ Y
+              - system.C.astype(ld) @ Z)
+    return np.concatenate([top, bottom])
 
 
-def _refine(full, rhs, x, apply_inverse, tolerance):
+def _refine(system, x, apply_inverse, tolerance):
     """Up to three refinement sweeps, until the residual clears the gate
     or a sweep does not lower it; returns the iterate with the smallest
     residual.  A solution at the double-precision floor cannot improve,
     so sweeps past that point would only repeat the same work.
     """
-    bnorm = np.linalg.norm(rhs)
-    r = _residual_vector(full, rhs, x)
+    bnorm = np.linalg.norm(system.rhs())
+    r = _residual_vector(system, x)
     rnorm = float(np.linalg.norm(r.astype(np.float64)))
     for _ in range(3):
         if rnorm <= 0.25 * tolerance * bnorm:
             break
         x_new = x + apply_inverse(r.astype(np.float64))
-        r_new = _residual_vector(full, rhs, x_new)
+        r_new = _residual_vector(system, x_new)
         rnorm_new = float(np.linalg.norm(r_new.astype(np.float64)))
         if not rnorm_new < rnorm:
             break
@@ -152,14 +158,13 @@ def solve_block(system, config=None, stats=None):
 
     b = system.rhs()
     iterations = [] if stats is None else stats.setdefault("iterations", [])
-    full = system.full().tocsc()
     if config.method == "direct-lu":
-        apply_inverse = _factor(full, "coupled system").solve
+        apply_inverse = _factor(system.full(), "coupled system").solve
     else:
         apply_inverse = _reduced_solver(  # atol: where _refine stops
             system, config.max_iterations,
             0.25 * config.tolerance * np.linalg.norm(b), iterations)
-    x = _refine(full, b, apply_inverse(b), apply_inverse, config.tolerance)
+    x = _refine(system, apply_inverse(b), apply_inverse, config.tolerance)
 
     rel = residual(system, x[:n], x[n:])
     if stats is not None:
@@ -172,11 +177,9 @@ def solve_block(system, config=None, stats=None):
 
 def residual(system, Y, Z):
     """Relative residual of the full coupled system at (Y, Z)."""
-    x = np.concatenate([Y, Z])
-    rhs = system.rhs()
-    r = _residual_vector(system.full().tocsr(), rhs, x)
+    r = _residual_vector(system, np.concatenate([Y, Z]))
     rnorm = float(np.linalg.norm(r.astype(np.float64)))
-    denom = np.linalg.norm(rhs)
+    denom = np.linalg.norm(system.rhs())
     return rnorm / denom if denom != 0.0 else rnorm
 
 

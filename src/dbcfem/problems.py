@@ -23,15 +23,16 @@ import copy
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
+from zipfile import BadZipFile
 
 import numpy as np
 
 from . import expr
 from .analysis import (ConvergenceReport, FemField, compute_eoc, error_H1_semi,
                        error_L2, error_L2_boundary)
-from .assembly import (DofMap, assemble_boundary_mass, assemble_mass,
-                       assemble_stiffness, build_block_system)
+from .assembly import DofMap, build_block_system
 from .linalg import METHODS, SolverConfig, solve_block
 from .mesh import mesh_hierarchy, prolong_linear
 
@@ -308,19 +309,19 @@ def _relative(num, den):
     return float(num) if den == 0.0 else float(num / den)
 
 
-def solve_level(spec, level, mesh=None, solver_config=None):
+def solve_level(spec, level, dofmap=None, solver_config=None):
     """Assemble and solve one refinement level of a problem.
 
     Keyword arguments:
-        mesh -- reuse a prebuilt mesh of the right level
+        dofmap -- reuse a prebuilt DofMap (and its operators) of the
+                  right level and degree
         solver_config -- override the spec's solver choice
     """
     if level < 0:
         raise ConfigError("refinement level must be nonnegative, got %d"
                           % level)
-    if mesh is None:
-        mesh = mesh_hierarchy(spec.domain, level)[-1]
-    dofmap = DofMap(mesh, spec.degree)
+    if dofmap is None:
+        dofmap = DofMap(mesh_hierarchy(spec.domain, level)[-1], spec.degree)
     system = build_block_system(dofmap, spec.gamma, spec.field(spec.f),
                                 spec.field(spec.y_d))
     if solver_config is None:
@@ -350,16 +351,34 @@ def cache_dir():
     return os.path.join(os.path.expanduser("~"), ".cache", "dbcfem")
 
 
-def get_reference(spec, mesh=None, solver_config=None):
-    """Solve (or load) the reference level; returns (y, z) full vectors."""
+def get_reference(spec, dofmap, solver_config=None):
+    """Solve (or load) the reference level on dofmap; returns (y, z)
+    full vectors.
+
+    A cache entry that cannot be read, or whose vectors do not have one
+    value per dof of dofmap, is a miss: the level is solved again and
+    the entry overwritten.  Entries are written to a temporary file and
+    renamed, so a crash never leaves a partial entry under the name.
+    """
     path = os.path.join(cache_dir(), "ref-%s.npz" % config_hash(spec))
-    if os.path.exists(path):
+    try:
         with np.load(path) as data:
-            return np.array(data["y"]), np.array(data["z"])
-    sol = solve_level(spec, spec.reference_level, mesh=mesh,
+            y, z = np.array(data["y"]), np.array(data["z"])
+        if y.shape == z.shape == (dofmap.num_dofs,):
+            return y, z
+    except (BadZipFile, OSError, ValueError, KeyError, EOFError):
+        pass
+    sol = solve_level(spec, spec.reference_level, dofmap=dofmap,
                       solver_config=solver_config)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    np.savez(path, y=sol.y.coeffs, z=sol.z.coeffs)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:  # a file object: no ".npz" appended
+            np.savez(fh, y=sol.y.coeffs, z=sol.z.coeffs)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return sol.y.coeffs, sol.z.coeffs
 
 
@@ -409,12 +428,9 @@ def run_convergence(spec, solver_config=None):
         meshes = mesh_hierarchy(spec.domain, max(spec.levels))
     else:
         meshes = mesh_hierarchy(spec.domain, spec.reference_level)
-        ref_dofmap = DofMap(meshes[-1], 1)
-        yref, zref = get_reference(spec, mesh=meshes[-1],
-                                   solver_config=solver_config)
-        stiff = assemble_stiffness(ref_dofmap)
-        mass = assemble_mass(ref_dofmap)
-        bmass = assemble_boundary_mass(ref_dofmap)
+        ref = DofMap(meshes[-1], 1)
+        yref, zref = get_reference(spec, ref, solver_config=solver_config)
+        stiff, mass, bmass = ref.stiffness, ref.mass, ref.boundary_mass
         norms = {
             "l2_y": lambda ey, ez: np.sqrt(ey @ (mass @ ey)),
             "l2_z": lambda ey, ez: np.sqrt(ez @ (mass @ ez)),
@@ -424,7 +440,7 @@ def run_convergence(spec, solver_config=None):
         }
 
     for level in spec.levels:
-        sol = solve_level(spec, level, mesh=meshes[level],
+        sol = solve_level(spec, level, DofMap(meshes[level], spec.degree),
                           solver_config=solver_config)
         hs.append(sol.dofmap.mesh.h_max)
         solutions.append(sol)

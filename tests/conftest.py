@@ -19,6 +19,32 @@ def _isolated_reference_cache(tmp_path_factory):
         os.environ["DBCFEM_CACHE_DIR"] = old
 
 
+@pytest.fixture
+def assembly_calls(monkeypatch):
+    """List of (operator, mesh level) for every operator assembly made
+    while the test runs, whichever dbcfem module the caller imported the
+    assembler into."""
+    import importlib
+
+    import dbcfem.assembly as assembly
+
+    modules = [importlib.import_module("dbcfem." + name) for name in
+               ("assembly", "analysis", "problems", "cli")]
+    calls = []
+    for kind in ("stiffness", "mass", "boundary_mass"):
+        name = "assemble_" + kind
+        original = getattr(assembly, name)
+
+        def counting(dofmap, kind=kind, original=original):
+            calls.append((kind, dofmap.mesh.level))
+            return original(dofmap)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

@@ -136,7 +136,9 @@ def singular_study():
 
 @pytest.fixture(scope="module")
 def quadratic_study():
-    spec = dataclasses.replace(load_config("example1"), degree=2)
+    base = load_config("example1")
+    spec = dataclasses.replace(base, degree=2,
+                               columns=base.columns + (("l2_y", False),))
     report, solutions = run_convergence(spec)
     return report, solutions
 
@@ -327,10 +329,7 @@ class TestQuadraticElements:
         assert ok, line
 
     def test_quadratic_error_ratio_band(self, quadratic_study):
-        spec = dataclasses.replace(
-            load_config("example1"), degree=2,
-            columns=(("l2_y", False), ("h1_y", False)))
-        report, _ = run_convergence(spec)
+        report, _ = quadratic_study
         ratios = [l2 / h1 for l2, h1 in zip(report.errors["l2_y"],
                                             report.errors["h1_y"])]
         tail = ratios[1:]

@@ -89,6 +89,19 @@ class TestGlobalMatrices:
             assert np.abs(got - want).max() <= 1e-13, kind
 
     @pytest.mark.parametrize("degree", [1, 2])
+    def test_dofmap_caches_its_operators(self, degree):
+        dofmap = DofMap(mesh_hierarchy(UNIT, 2)[-1], degree)
+        for kind, assemble in (("stiffness", assemble_stiffness),
+                               ("mass", assemble_mass),
+                               ("boundary_mass", assemble_boundary_mass)):
+            cached = getattr(dofmap, kind)
+            assert getattr(dofmap, kind) is cached, kind
+            fresh = assemble(dofmap)
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(cached, part),
+                                      getattr(fresh, part)), (kind, part)
+
+    @pytest.mark.parametrize("degree", [1, 2])
     def test_stiffness_kernel_and_symmetry(self, degree):
         mesh = refine_uniform(refine_uniform(make_initial_mesh(UNIT)))
         stiff = assemble_stiffness(DofMap(mesh, degree))

@@ -77,6 +77,13 @@ class TestSolve:
         assert system.shape == (130, 130)
         assert rhs.shape == (130, 1)
 
+    def test_each_operator_assembled_once(self, tmp_path, assembly_calls):
+        code = main(["solve", "--config", "example1", "--level", "2",
+                     "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert sorted(assembly_calls) == [("boundary_mass", 2), ("mass", 2),
+                                          ("stiffness", 2)]
+
     def test_negative_level_is_a_usage_error(self, tmp_path, capsys):
         code = main(["solve", "--config", "example1", "--level", "-1",
                      "--out", str(tmp_path / "x")])
@@ -130,6 +137,13 @@ class TestVerify:
                      "l2-error-controlled-by-h1",
                      "discrete-stability-bounded"):
             assert "PASS %s" % name in out
+
+    def test_each_operator_assembled_once_per_level(self, capsys,
+                                                    assembly_calls):
+        assert main(["verify", "--config", "example1"]) == 0
+        for kind in ("stiffness", "mass", "boundary_mass"):
+            levels = [lv for k, lv in assembly_calls if k == kind]
+            assert levels == [0, 1, 2, 3, 4], kind
 
     def test_thin_config_skips_unverifiable_checks(self, tmp_path, capsys):
         config = write_config(tmp_path, {"problem": "example1",

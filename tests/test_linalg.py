@@ -24,8 +24,7 @@ def toy_system():
         F=np.array([1.0]),
         G=np.array([3.0, 4.0]),
         interior=np.array([0]),
-        boundary=np.array([1]),
-        gamma=1.0)
+        boundary=np.array([1]))
 
 
 def example_system(level=2, gamma=1.0, degree=1):
@@ -69,7 +68,7 @@ class TestSolveBlock:
                              F=np.zeros_like(system.F),
                              G=np.zeros_like(system.G),
                              interior=system.interior,
-                             boundary=system.boundary, gamma=system.gamma)
+                             boundary=system.boundary)
         Y, Z = solve_block(system)
         assert np.abs(Y).max() == 0.0
         assert np.abs(Z).max() == 0.0
@@ -109,6 +108,32 @@ class TestSolveBlock:
         assert all(isinstance(k, int) for k in stats["iterations"])
         assert stats["iterations"][0] > 0
 
+    def test_only_direct_lu_forms_the_coupled_matrix(self, monkeypatch):
+        system = example_system(level=3)
+        Y, Z = solve_block(system, SolverConfig(method="direct-lu"))
+
+        def refuse(self):
+            raise AssertionError("coupled matrix formed")
+
+        monkeypatch.setattr(BlockSystem, "full", refuse)
+        Yr, Zr = solve_block(system)
+        assert np.abs(Yr - Y).max() <= 1e-11 * np.abs(Y).max()
+        with pytest.raises(AssertionError, match="coupled matrix formed"):
+            solve_block(system, SolverConfig(method="direct-lu"))
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_residual_matches_the_coupled_matrix(self, degree):
+        system = example_system(level=3, degree=degree)
+        Y, Z = solve_block(system)
+        rhs = system.rhs()
+        full = system.full().astype(np.longdouble)
+        noise = 1e-6 * np.random.default_rng(3).standard_normal(len(Y))
+        for Yt in (Y, Y + noise):
+            x = np.concatenate([Yt, Z]).astype(np.longdouble)
+            r = (rhs.astype(np.longdouble) - full @ x).astype(float)
+            want = np.linalg.norm(r) / np.linalg.norm(rhs)
+            assert residual(system, Yt, Z) == pytest.approx(want, rel=1e-6)
+
     def test_iteration_limit_raises(self):
         system = example_system(level=4, gamma=0.01)
         with pytest.raises(SolverError, match="2 iterations"):
@@ -124,7 +149,7 @@ class TestSolveBlock:
         bad = BlockSystem(A=system.A, B=system.B, C=system.C,
                           F=np.array([1.0, 2.0]),  # wrong length
                           G=system.G, interior=system.interior,
-                          boundary=system.boundary, gamma=1.0)
+                          boundary=system.boundary)
         with pytest.raises(ValueError):
             solve_block(bad)
 
@@ -144,8 +169,7 @@ class TestSolveBlock:
             F=system.F[perm_i],
             G=system.G[perm_n],
             interior=inv_n[system.interior[perm_i]],
-            boundary=inv_n[system.boundary],
-            gamma=system.gamma)
+            boundary=inv_n[system.boundary])
 
         Y, Z = solve_block(system)
         for method in ("direct-lu", "reduced-pcg"):

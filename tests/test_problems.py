@@ -271,10 +271,10 @@ class TestRunConvergence:
         calls = []
         original = problems.solve_level
 
-        def counting(spec, level, mesh=None, solver_config=None):
+        def counting(spec, level, dofmap=None, solver_config=None):
             calls.append(level)
-            return original(spec, level, mesh=mesh,
-                           solver_config=solver_config)
+            return original(spec, level, dofmap=dofmap,
+                            solver_config=solver_config)
 
         monkeypatch.setattr(problems, "solve_level", counting)
         first, _ = run_convergence(mini)
@@ -283,6 +283,38 @@ class TestRunConvergence:
         second, _ = run_convergence(mini)
         assert calls.count(3) == 0  # ... then loaded from the cache
         assert second.errors == first.errors
+
+    def test_cold_run_assembles_the_reference_once(self, tmp_path,
+                                                   monkeypatch,
+                                                   assembly_calls):
+        monkeypatch.setenv("DBCFEM_CACHE_DIR", str(tmp_path))
+        spec = load_config("example2")
+        mini = dataclasses.replace(spec, levels=(0, 1), reference_level=3)
+        run_convergence(mini)
+        assert sorted(k for k, lv in assembly_calls if lv == 3) == [
+            "boundary_mass", "mass", "stiffness"]
+
+    @pytest.mark.parametrize("damage", ["truncated", "wrong-length"])
+    def test_bad_cache_entry_is_recomputed(self, tmp_path, monkeypatch,
+                                           damage):
+        monkeypatch.setenv("DBCFEM_CACHE_DIR", str(tmp_path))
+        spec = load_config("example2")
+        mini = dataclasses.replace(spec, levels=(0, 1), reference_level=3)
+        fresh, _ = run_convergence(mini)
+        (path,) = tmp_path.iterdir()
+        with np.load(path) as data:
+            y, z = data["y"], data["z"]
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+        else:
+            with open(path, "wb") as fh:
+                np.savez(fh, y=y[:-1], z=z[:-1])
+        again, _ = run_convergence(mini)
+        assert again.errors == fresh.errors
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        with np.load(path) as data:
+            assert np.array_equal(data["y"], y)
+            assert np.array_equal(data["z"], z)
 
     def test_cache_key_separates_different_data(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DBCFEM_CACHE_DIR", str(tmp_path))
