@@ -30,7 +30,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.sparse.linalg import spsolve
 
 from .assembly import (DofMap, _boundary_geometry, _cell_geometry,
-                       _trace_values)
+                       _quadrature_points, _trace_values)
 from .elements import ReferenceBasis, segment_quadrature, triangle_quadrature
 
 
@@ -63,7 +63,7 @@ def _volume_setup(field, exactness):
     rule = triangle_quadrature(2 * dofmap.degree + 2 if exactness is None
                                else exactness)
     origin, jac, det, inv_t = _cell_geometry(dofmap.mesh)
-    pts = origin[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)
+    pts = _quadrature_points(origin, jac, rule.points)
     return dofmap, rule, inv_t, det, pts
 
 

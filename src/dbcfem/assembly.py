@@ -114,6 +114,12 @@ def _cell_geometry(mesh):
     return p[:, 0], jac, det, inv_t
 
 
+def _quadrature_points(origin, jac, points):
+    """Physical coordinates (nt, nq, 2) of reference points in every cell."""
+    return origin[:, None, :] + np.einsum("tab,qb->tqa", jac, points,
+                                          optimize=True)
+
+
 def _boundary_geometry(dofmap):
     """Per boundary edge: start point, end point and length."""
     mesh = dofmap.mesh
@@ -148,7 +154,8 @@ def assemble_mass(dofmap):
     rule = triangle_quadrature(2 * dofmap.degree)
     vals = ReferenceBasis(dofmap.degree).values(rule.points)  # (nd, nq)
     _, _, det, _ = _cell_geometry(dofmap.mesh)
-    local = np.einsum("q,t,nq,mq->tnm", rule.weights, det, vals, vals)
+    local = det[:, None, None] * np.einsum("q,nq,mq->nm", rule.weights,
+                                           vals, vals)
     return _scatter(dofmap, local)
 
 
@@ -186,7 +193,7 @@ def assemble_load(dofmap, g, exactness=None):
     vals = ReferenceBasis(dofmap.degree).values(rule.points)
     origin, jac, det, _ = _cell_geometry(mesh)
 
-    pts = origin[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)
+    pts = _quadrature_points(origin, jac, rule.points)
     gv = np.asarray(g(pts[..., 0].ravel(), pts[..., 1].ravel()),
                     dtype=np.float64)
     gv = np.broadcast_to(gv, (pts.shape[0] * pts.shape[1],)).reshape(pts.shape[:2])
@@ -207,6 +214,8 @@ class BlockSystem:
     F, G     -- load vectors of length |I| and N
     interior -- the Z (and test-row) index set I into 0..N
     boundary -- complement of I
+    coords   -- N x 2 node coordinates of the dofs, or None; they let
+                the solver recognize the 5-point interior stiffness
     """
 
     A: sp.csr_matrix
@@ -216,6 +225,7 @@ class BlockSystem:
     G: np.ndarray
     interior: np.ndarray
     boundary: np.ndarray
+    coords: np.ndarray = None
 
     @property
     def num_dofs(self):
@@ -250,5 +260,5 @@ def build_block_system(dofmap, gamma, f, y_d):
     B.sort_indices()
     F = assemble_load(dofmap, f)[interior]
     G = -assemble_load(dofmap, y_d)
-    return BlockSystem(A=A, B=B, C=C, F=F, G=G,
-                       interior=interior, boundary=dofmap.boundary)
+    return BlockSystem(A=A, B=B, C=C, F=F, G=G, interior=interior,
+                       boundary=dofmap.boundary, coords=dofmap.coords)

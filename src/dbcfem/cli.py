@@ -33,7 +33,7 @@ import numpy as np
 
 from .analysis import (boundary_walk_dofs, verify_boundary_bubble_estimate,
                        verify_discrete_stability, verify_L2_controlled_by_H1)
-from .assembly import DofMap
+from .assembly import DofMap, build_block_system
 from .expr import EvalError, ParseError
 from .linalg import SolverError, save_matrix_market
 from .mesh import export_vtk, mesh_hierarchy
@@ -60,6 +60,7 @@ class RunRecord:
     levels: list
     residuals: list
     iterations: list
+    interior_solvers: list
     galerkin_residuals: list
     adjoint_residuals: list
     report: dict = None
@@ -80,6 +81,7 @@ def _record(command, spec, solutions, **extra):
         timestamp=_timestamp(), levels=[s.level for s in solutions],
         residuals=[s.residual for s in solutions],
         iterations=[s.iterations for s in solutions],
+        interior_solvers=[s.interior_solver for s in solutions],
         galerkin_residuals=[s.galerkin_residual for s in solutions],
         adjoint_residuals=[s.adjoint_residual for s in solutions], **extra)
 
@@ -102,11 +104,13 @@ def cmd_solve(args):
               encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    if args.dump_matrix:
+    if args.dump_matrix:  # operators are cached: only the loads rebuild
+        system = build_block_system(dofmap, spec.gamma, spec.field(spec.f),
+                                    spec.field(spec.y_d))
         save_matrix_market(os.path.join(args.out, "system.mtx"),
-                           sol.system.full())
+                           system.full())
         save_matrix_market(os.path.join(args.out, "rhs.mtx"),
-                           sol.system.rhs().reshape(-1, 1))
+                           system.rhs().reshape(-1, 1))
 
     mass, bmass = dofmap.mass, dofmap.boundary_mass
     norms = {

@@ -11,10 +11,12 @@ leaves one system for Y_B alone,
     H Y_B = E^T (B Y0 - G),   H = -E^T B E = E^T M E + gamma M_Gamma,BB,
 
 solved by CG preconditioned with -B_BB = M_BB + gamma M_Gamma,BB; each
-product with H costs two solves with the K_II factors.  Z follows from
-the interior rows, K_II Z = G_I - (B Y)_I.  direct-lu factors the whole
-coupled matrix and is the small-N reference; it is the only solver that
-forms that matrix.
+product with H costs two solves with K_II.  Z follows from the interior
+rows, K_II Z = G_I - (B Y)_I.  When K_II is the 5-point Laplacian of a
+uniform grid (P1 on the rectangle meshes), type-I sine transforms
+diagonalize it; any other K_II is factored with splu.  direct-lu
+factors the whole coupled matrix and is the small-N reference; it is
+the only solver that forms that matrix.
 """
 
 from dataclasses import dataclass
@@ -97,15 +99,84 @@ def _factor(matrix, what):
                           "> 0 it should never be singular" % (what, err))
 
 
-def _reduced_solver(system, max_iterations, atol, iterations):
+class _SineSolver:
+    """Solves with a·T_m⊗I_n + b·I_m⊗T_n, T = tridiag(-1, 2, -1), whose
+    rows are ordered by `cell` (the row-major grid position of each
+    row).  The orthonormal type-I DST diagonalizes T, so a solve is two
+    transforms and one division (Buzbee, Golub & Nielson, 1970).
+    """
+
+    def __init__(self, cell, shape, a, b):
+        from scipy.fft import dstn  # only this path needs scipy.fft
+        self._dstn, self._cell, self._shape = dstn, cell, shape
+        m, n = shape
+        lam = lambda k: 4.0 * np.sin(0.5 * np.pi * np.arange(1, k + 1)
+                                     / (k + 1)) ** 2
+        self._eig = a * lam(m)[:, None] + b * lam(n)[None, :]
+
+    def solve(self, f):
+        grid = np.empty(len(self._cell))
+        grid[self._cell] = f
+        u = self._dstn(grid.reshape(self._shape), type=1, norm="ortho")
+        u = self._dstn(u / self._eig, type=1, norm="ortho")
+        return u.ravel()[self._cell]
+
+
+def _uniform_grid(xy):
+    """(cell, (m, n), (hx, hy)) when the points xy fill a uniformly
+    spaced m x n grid, m, n >= 2, once each; otherwise None.  cell is
+    the row-major grid position of each point, x index first.
+    """
+    xs, ix = np.unique(xy[:, 0], return_inverse=True)
+    ys, iy = np.unique(xy[:, 1], return_inverse=True)
+    m, n = len(xs), len(ys)
+    if m < 2 or n < 2 or m * n != len(xy):
+        return None
+    cell = ix * n + iy
+    hx, hy = (xs[-1] - xs[0]) / (m - 1), (ys[-1] - ys[0]) / (n - 1)
+    if (np.bincount(cell, minlength=m * n).max() > 1
+            or np.abs(np.diff(xs) - hx).max() > 1e-10 * hx
+            or np.abs(np.diff(ys) - hy).max() > 1e-10 * hy):
+        return None
+    return cell, (m, n), (hx, hy)
+
+
+def _interior_solver(K_II, xy):
+    """An object with .solve for the interior stiffness K_II.
+
+    The sine-transform solver is taken only if the interior node
+    coordinates xy are given, K_II has at most five entries per row,
+    the nodes fill a uniform grid and K_II equals the 5-point operator
+    on it to 1e-12 relative; the identity is checked on every call,
+    never assumed.  Otherwise K_II is factored with splu.
+    """
+    grid = None
+    if xy is not None and K_II.nnz <= 5 * K_II.shape[0]:
+        grid = _uniform_grid(xy)
+    if grid is not None:
+        cell, (m, n), (hx, hy) = grid
+        a, b = hy / hx, hx / hy
+        T = lambda k: sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
+        L = (a * sp.kron(T(m), sp.identity(n))
+             + b * sp.kron(sp.identity(m), T(n))).tocsr()[cell][:, cell]
+        if abs(K_II - L).max() <= 1e-12 * abs(K_II).max():
+            return _SineSolver(cell, (m, n), a, b)
+    return _factor(K_II, "interior stiffness")
+
+
+def _reduced_solver(system, max_iterations, atol, stats):
     """apply_inverse of the full system through the reduced problem; CG
     stops once the reduced residual (= the boundary-row residual of the
-    full system) is below atol, and appends its count to iterations.
+    full system) is below atol.  Writes the interior solver kind ("dst"
+    or "splu") to stats["interior"] and appends each CG count to
+    stats["iterations"].
     """
     I, Bnd, B = system.interior, system.boundary, system.B
     n, ni, nb = system.num_dofs, len(I), len(Bnd)
     K_IB, K_BI = system.A[:, Bnd].tocsr(), system.C[Bnd, :].tocsr()
-    K_II = _factor(system.C[I, :], "interior stiffness")
+    K_II = _interior_solver(system.C[I, :], None if system.coords is None
+                            else system.coords[I])
+    stats["interior"] = "dst" if isinstance(K_II, _SineSolver) else "splu"
     precond = _factor(-B[Bnd][:, Bnd], "boundary mass")
 
     def extend(yB, Y):           # Y + E·yB, in place
@@ -127,7 +198,7 @@ def _reduced_solver(system, max_iterations, atol, iterations):
         steps = []
         yB, info = cg(H, restrict(B @ Y - G), rtol=0.0, atol=atol, M=M,
                       maxiter=max_iterations, callback=steps.append)
-        iterations.append(len(steps))
+        stats["iterations"].append(len(steps))
         if info > 0:
             raise SolverError("conjugate gradients did not converge in %d "
                               "iterations" % len(steps))
@@ -145,7 +216,9 @@ def solve_block(system, config=None, stats=None):
                   relative residual tolerance
         stats  -- dict that receives "iterations": the CG count of the
                   first solve and of each refinement sweep (direct-lu:
-                  []), and "residual": the relative residual of the gate
+                  []), "interior": the K_II solver, "dst" or "splu"
+                  (absent for direct-lu), and "residual": the relative
+                  residual of the gate
 
     Raises SolverError if a factorization fails, CG runs out of
     iterations, or the relative residual exceeds the tolerance.
@@ -157,18 +230,18 @@ def solve_block(system, config=None, stats=None):
         raise ValueError("inconsistent block dimensions")
 
     b = system.rhs()
-    iterations = [] if stats is None else stats.setdefault("iterations", [])
+    stats = {} if stats is None else stats
+    stats.setdefault("iterations", [])
     if config.method == "direct-lu":
         apply_inverse = _factor(system.full(), "coupled system").solve
     else:
         apply_inverse = _reduced_solver(  # atol: where _refine stops
             system, config.max_iterations,
-            0.25 * config.tolerance * np.linalg.norm(b), iterations)
+            0.25 * config.tolerance * np.linalg.norm(b), stats)
     x = _refine(system, apply_inverse(b), apply_inverse, config.tolerance)
 
     rel = residual(system, x[:n], x[n:])
-    if stats is not None:
-        stats["residual"] = rel
+    stats["residual"] = rel
     if not rel <= config.tolerance:
         raise SolverError("relative residual %.3e exceeds tolerance %.1e"
                           % (rel, config.tolerance))

@@ -291,18 +291,20 @@ class LevelSolution:
     equation restricted to zero-trace test functions); adjoint_residual
     checks the remaining rows.  Both are relative when the data side is
     nonzero.  iterations is the CG count of the solve, summed over the
-    first solve and the refinement sweeps (0 for direct-lu).
+    first solve and the refinement sweeps (0 for direct-lu), and
+    interior_solver the K_II solver, "dst" or "splu" (None for
+    direct-lu).
     """
 
     level: int
     dofmap: DofMap
-    system: object
     y: FemField
     z: FemField
     residual: float
     galerkin_residual: float
     adjoint_residual: float
     iterations: int
+    interior_solver: str
 
 
 def _relative(num, den):
@@ -336,11 +338,12 @@ def solve_level(spec, level, dofmap=None, solver_config=None):
                     np.linalg.norm(system.F))
     adj = _relative(np.linalg.norm(system.B @ Y + system.C @ Z - system.G),
                     np.linalg.norm(system.G))
-    return LevelSolution(level=level, dofmap=dofmap, system=system,
+    return LevelSolution(level=level, dofmap=dofmap,
                          y=FemField(dofmap, Y), z=FemField(dofmap, zfull),
                          residual=stats["residual"],
                          galerkin_residual=gal, adjoint_residual=adj,
-                         iterations=sum(stats["iterations"]))
+                         iterations=sum(stats["iterations"]),
+                         interior_solver=stats.get("interior"))
 
 
 def cache_dir():

@@ -1,13 +1,17 @@
 """Global operator assembly and the coupled block system."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from dbcfem.analysis import error_H1_semi, error_L2, interpolate
 from dbcfem.assembly import (DofMap, assemble_boundary_mass, assemble_load,
                              assemble_mass, assemble_stiffness,
                              build_block_system)
 from dbcfem.mesh import (TriMesh, make_initial_mesh, mesh_hierarchy,
                          refine_uniform)
+from dbcfem.problems import load_config
 
 from oracles import (as_float, dense_global_matrix, local_edge_mass_exact,
                      local_mass_exact, local_stiffness_exact)
@@ -311,3 +315,41 @@ class TestDofMap:
         n_edges = len(np.unique(pairs, axis=0))
         assert dofmap.num_dofs == mesh.num_vertices + n_edges
         assert len(dofmap.boundary) == 2 * len(mesh.boundary_edges)
+
+
+class TestBitwiseKernels:
+    """sha256 over the CSR arrays of the three operators, the load
+    vectors of example1's f and y_d, and the L2 and H1 errors of an
+    interpolant (which map the quadrature points the same way as the
+    load), recorded before the shared point map and the reference mass
+    matrix were introduced; any change in rounding changes a digest."""
+
+    DIGESTS = {
+        (1, 0): "3c70c4de12786527", (1, 1): "5d1574316c9860b1",
+        (1, 2): "62ac1320c5282e7c", (1, 3): "1cf457b9d1e2835a",
+        (1, 4): "14e0d250bbb3751c", (1, 5): "b93b7522145bf625",
+        (2, 0): "259c172a784ce0db", (2, 1): "5540f2c25a8030db",
+        (2, 2): "70be12a9c89ec14f", (2, 3): "552faaec3210fc38",
+        (2, 4): "40034046414296d6", (2, 5): "bedf681196154b48",
+    }
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_operators_loads_and_norms_are_bitwise_unchanged(self, degree):
+        spec = load_config("example1")
+        loads = (spec.field(spec.f), spec.field(spec.y_d))
+        y = spec.field(spec.exact["y"])
+        g1, g2 = (spec.field(s) for s in spec.exact["y_grad"])
+        meshes = mesh_hierarchy(spec.domain, 5)
+        for level, mesh in enumerate(meshes):
+            dofmap = DofMap(mesh, degree)
+            h = hashlib.sha256()
+            for m in (dofmap.stiffness, dofmap.mass, dofmap.boundary_mass):
+                for part in (m.data, m.indices, m.indptr):
+                    h.update(np.ascontiguousarray(part).tobytes())
+            for g in loads:
+                h.update(assemble_load(dofmap, g).tobytes())
+            u = interpolate(dofmap, lambda a, b: np.sin(3 * a) * np.cos(2 * b))
+            errors = (error_L2(u, y),
+                      error_H1_semi(u, lambda a, b: (g1(a, b), g2(a, b))))
+            h.update(np.array(errors).tobytes())
+            assert h.hexdigest()[:16] == self.DIGESTS[degree, level], level

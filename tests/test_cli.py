@@ -48,6 +48,15 @@ class TestSolve:
         assert "errors" in summary["report"]["norms"]
         assert len(summary["iterations"]) == 1
         assert summary["iterations"][0] > 0
+        assert summary["interior_solvers"] == ["dst"]
+
+    def test_quadratic_solve_records_splu(self, tmp_path):
+        config = write_config(tmp_path, {"problem": "example1", "degree": 2})
+        out = tmp_path / "run"
+        assert main(["solve", "--config", config, "--level", "1",
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["interior_solvers"] == ["splu"]
 
     def test_control_column_matches_boundary_trace(self, tmp_path):
         out = tmp_path / "run"
@@ -111,6 +120,8 @@ class TestConvergence:
         assert record["levels"] == [0, 1]
         assert len(record["residuals"]) == 2
         assert len(record["iterations"]) == 2
+        # level 0 has a single interior node, too few for the grid test
+        assert record["interior_solvers"] == ["splu", "dst"]
         assert set(record["report"]["errors"]) == {"h1_y", "h1_z", "l2_u"}
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -201,6 +212,7 @@ class TestExitCodes:
                      str(out)]) == 0
         record = json.loads((tmp_path / "table.run.json").read_text())
         assert record["iterations"] == [0, 0]
+        assert record["interior_solvers"] == [None, None]
 
     def test_retired_solver_method_is_a_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, {

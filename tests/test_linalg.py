@@ -1,14 +1,21 @@
 """Coupled-system solves, residual gating, and sparse kernels."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.io import mmread
+from scipy.sparse.linalg import SuperLU
 
+import dbcfem.linalg as linalg
 from dbcfem.assembly import BlockSystem, DofMap, build_block_system
-from dbcfem.linalg import (SolverConfig, SolverError, residual,
+from dbcfem.linalg import (SolverConfig, SolverError, _interior_solver,
+                           _SineSolver, _uniform_grid, residual,
                            save_matrix_market, solve_block)
-from dbcfem.mesh import make_initial_mesh, refine_uniform
+from dbcfem.mesh import make_initial_mesh, mesh_hierarchy, refine_uniform
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -228,3 +235,110 @@ class TestReducedConditioning:
         counts = self.first_solve_counts(0.01, range(3, 7))
         assert max(counts) <= 20, counts
         assert counts[-1] - counts[-2] <= 2, counts
+
+
+RECTANGLES = [(0.0, 1.0, 0.0, 1.0), (0.0, 2.0, 0.0, 0.5),
+              (0.0, 0.3, -0.7, 0.1), (0.1, 1.3, 0.2, 0.9)]
+
+
+def interior_block(rect, level, degree=1):
+    dofmap = DofMap(mesh_hierarchy(rect, level)[-1], degree)
+    I = dofmap.interior
+    return dofmap.stiffness[I][:, I].tocsr(), dofmap.coords[I]
+
+
+class TestInteriorSolver:
+    """K_II of P1 on these meshes is the 5-point Laplacian, solved by
+    sine transforms; everything else is factored with splu."""
+
+    @pytest.mark.parametrize("rect", RECTANGLES)
+    def test_p1_interior_stiffness_is_the_five_point_operator(self, rect):
+        x0, x1, y0, y1 = rect
+        for level in range(1, 6):
+            K, xy = interior_block(rect, level)
+            cells = 2 ** (level + 1)          # intervals per side
+            m = n = cells - 1
+            hx, hy = (x1 - x0) / cells, (y1 - y0) / cells
+            ix = np.rint((xy[:, 0] - x0) / hx).astype(int) - 1
+            iy = np.rint((xy[:, 1] - y0) / hy).astype(int) - 1
+            T = lambda k: sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1],
+                                   shape=(k, k))
+            L = (hy / hx * sp.kron(T(m), sp.identity(n))
+                 + hx / hy * sp.kron(sp.identity(m), T(n))).tocsr()
+            L = L[ix * n + iy][:, ix * n + iy]
+            assert abs(K - L).max() <= 1e-12 * abs(K).max(), level
+            assert isinstance(_interior_solver(K, xy), _SineSolver), level
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_p2_takes_splu(self, level):
+        # at level 0 the nine P2 interior nodes fill a uniform 3 x 3 grid
+        # and K_II has at most five entries per row; only the operator
+        # identity rejects it
+        K, xy = interior_block(RECTANGLES[0], level, degree=2)
+        assert isinstance(_interior_solver(K, xy), SuperLU)
+
+    def test_perturbed_entry_takes_splu(self):
+        K, xy = interior_block(RECTANGLES[1], 3)
+        K = K.tocoo()
+        K.data[np.flatnonzero(K.row != K.col)[0]] += 1e-8
+        K = K.tocsr()
+        assert K.nnz <= 5 * K.shape[0]
+        assert isinstance(_interior_solver(K, xy), SuperLU)
+
+    def test_system_without_coordinates_takes_splu(self):
+        system = example_system(level=3)
+        stats = {}
+        solve_block(system, stats=stats)
+        assert stats["interior"] == "dst"
+        bare = BlockSystem(A=system.A, B=system.B, C=system.C, F=system.F,
+                           G=system.G, interior=system.interior,
+                           boundary=system.boundary)
+        stats = {}
+        solve_block(bare, stats=stats)
+        assert stats["interior"] == "splu"
+        stats = {}
+        solve_block(system, SolverConfig(method="direct-lu"), stats=stats)
+        assert "interior" not in stats
+
+    @pytest.mark.parametrize("xy", [
+        [[0, 0], [0, 1], [1, 0]],                      # a point missing
+        [[0, 0], [0, 1], [1, 0], [1, 1], [1, 1]],      # a point twice
+        [[0, 0], [0, 1], [1, 0], [1, 1],
+         [2.5, 0], [2.5, 1]],                          # uneven spacing
+        [[0, 0], [1, 0], [2, 0]],                      # a single row
+    ])
+    def test_grids_that_are_not_full_and_uniform_are_rejected(self, xy):
+        assert _uniform_grid(np.array(xy, dtype=float)) is None
+
+    @pytest.mark.parametrize("rect", RECTANGLES)
+    def test_sine_solve_matches_splu(self, rect):
+        K, xy = interior_block(rect, 5)
+        f = np.random.default_rng(11).standard_normal(K.shape[0])
+        want = linalg._factor(K, "test").solve(f)
+        got = _interior_solver(K, xy).solve(f)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("degree,calls", [(1, 1), (2, 2)])
+    def test_splu_calls_of_a_reduced_solve(self, monkeypatch, degree, calls):
+        # P1: only the boundary-mass preconditioner; P2: K_II as well
+        count = []
+        original = linalg.splu
+
+        def counting(*args, **kwargs):
+            count.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "splu", counting)
+        solve_block(example_system(level=3, degree=degree))
+        assert len(count) == calls
+
+
+def test_import_does_not_load_scipy_fft():
+    # scipy.fft is loaded by the sine-transform solver on first use; a
+    # module-level import would add its load time to every process
+    src = os.path.dirname(os.path.dirname(linalg.__file__))
+    code = "import sys, dbcfem; print('scipy.fft' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
