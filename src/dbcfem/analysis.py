@@ -29,9 +29,10 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.sparse.linalg import spsolve
 
-from .assembly import (DofMap, _boundary_geometry, _cell_geometry,
-                       _quadrature_points, _trace_values)
-from .elements import ReferenceBasis, segment_quadrature, triangle_quadrature
+from .assembly import (DofMap, _boundary_geometry, _cell_quadrature,
+                       _edge_points, _edge_quadrature, _physical_gradients,
+                       _sample, _trace_values)
+from .elements import ReferenceBasis
 
 
 @dataclass
@@ -58,50 +59,32 @@ def interpolate(dofmap, fn):
     return FemField(dofmap, np.asarray(fn(x[:, 0], x[:, 1]), dtype=np.float64))
 
 
-def _volume_setup(field, exactness):
-    dofmap = field.dofmap
-    rule = triangle_quadrature(2 * dofmap.degree + 2 if exactness is None
-                               else exactness)
-    origin, jac, det, inv_t = _cell_geometry(dofmap.mesh)
-    pts = _quadrature_points(origin, jac, rule.points)
-    return dofmap, rule, inv_t, det, pts
-
-
 def error_L2(field, exact, exactness=None):
     """sqrt of int (u_h - u)^2 over the domain."""
-    dofmap, rule, _, det, pts = _volume_setup(field, exactness)
+    dofmap = field.dofmap
+    rule, det, _, pts = _cell_quadrature(dofmap, exactness)
     vals = ReferenceBasis(dofmap.degree).values(rule.points)
     uh = np.einsum("tn,nq->tq", field.coeffs[dofmap.cell_dofs], vals)
-    ue = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=np.float64)
-    diff = uh - np.broadcast_to(ue, uh.shape)
+    diff = uh - _sample(exact, pts)
     return math.sqrt(np.einsum("q,t,tq->", rule.weights, det, diff ** 2))
 
 
 def error_H1_semi(field, exact_grad, exactness=None):
     """sqrt of int |grad u_h - grad u|^2; exact_grad returns (g1, g2)."""
-    dofmap, rule, inv_t, det, pts = _volume_setup(field, exactness)
+    dofmap = field.dofmap
+    rule, det, inv_t, pts = _cell_quadrature(dofmap, exactness)
     grads = ReferenceBasis(dofmap.degree).gradients(rule.points)
-    phys = np.einsum("tab,nqb->tnqa", inv_t, grads)
+    phys = _physical_gradients(inv_t, grads)
     gh = np.einsum("tn,tnqa->tqa", field.coeffs[dofmap.cell_dofs], phys)
-    g1, g2 = exact_grad(pts[..., 0], pts[..., 1])
-    ge = np.stack([np.broadcast_to(np.asarray(g1, dtype=np.float64), gh.shape[:2]),
-                   np.broadcast_to(np.asarray(g2, dtype=np.float64), gh.shape[:2])],
-                  axis=2)
-    diff = gh - ge
+    diff = gh - np.stack(_sample(exact_grad, pts), axis=2)
     return math.sqrt(np.einsum("q,t,tqa->", rule.weights, det, diff ** 2))
 
 
 def error_L2_boundary(field, exact, exactness=None):
     """sqrt of int (u_h - u)^2 over the boundary curve."""
     dofmap = field.dofmap
-    rule = segment_quadrature(2 * dofmap.degree + 2 if exactness is None
-                              else exactness)
-    a, b, lengths = _boundary_geometry(dofmap)
-    tvals = _trace_values(dofmap.degree, rule.points)
-    uh = np.einsum("en,nq->eq", field.coeffs[dofmap.edge_dofs], tvals)
-    pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
-    ue = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=np.float64)
-    diff = uh - np.broadcast_to(ue, uh.shape)
+    rule, lengths, pts = _edge_quadrature(dofmap, exactness)
+    diff = _panel_values(field, rule.points) - _sample(exact, pts)
     return math.sqrt(np.einsum("q,e,eq->", rule.weights, lengths, diff ** 2))
 
 
@@ -127,11 +110,6 @@ def _panel_values(field, t):
     return np.einsum("en,nq->eq", field.coeffs[field.dofmap.edge_dofs], tvals)
 
 
-def _panel_points(dofmap, t):
-    a, b, _ = _boundary_geometry(dofmap)
-    return a[:, None, :] + np.asarray(t)[None, :, None] * (b - a)[:, None, :]
-
-
 def seminorm_H_half_boundary(field):
     """Aronszajn-Slobodeckij H^{1/2} seminorm of the boundary trace."""
     dofmap = field.dofmap
@@ -151,9 +129,9 @@ def seminorm_H_half_boundary(field):
     # panels sharing a vertex: graded subdivision toward the shared point
     tg, wg = _graded_points()
     v_out = _panel_values(field, 1.0 - tg)      # parameter from panel end
-    x_out = _panel_points(dofmap, 1.0 - tg)
+    x_out = _edge_points(dofmap, 1.0 - tg)
     v_in = np.roll(_panel_values(field, tg), -1, axis=0)
-    x_in = np.roll(_panel_points(dofmap, tg), -1, axis=0)
+    x_in = np.roll(_edge_points(dofmap, tg), -1, axis=0)
     num = (v_out[:, :, None] - v_in[:, None, :]) ** 2
     d2 = ((x_out[:, :, None, :] - x_in[:, None, :, :]) ** 2).sum(axis=3)
     ww = np.einsum("e,i,j->eij", lengths * np.roll(lengths, -1), wg, wg)
@@ -162,7 +140,7 @@ def seminorm_H_half_boundary(field):
     # close pairs (2 to 4 panels apart along the walk): dense tensor Gauss
     t8, w8 = _gauss01(8)
     v8 = _panel_values(field, t8)
-    x8 = _panel_points(dofmap, t8)
+    x8 = _edge_points(dofmap, t8)
     for off in (2, 3, 4):
         if off > n // 2:
             break
@@ -178,7 +156,7 @@ def seminorm_H_half_boundary(field):
     # far pairs: single tensor Gauss panel by panel, blocked over rows
     t4, w4 = _gauss01(4)
     v4 = _panel_values(field, t4)
-    x4 = _panel_points(dofmap, t4)
+    x4 = _edge_points(dofmap, t4)
     w4l = w4[None, :] * lengths[:, None]
     idx = np.arange(n)
     far = np.minimum(np.abs(idx[:, None] - idx[None, :]),
@@ -204,15 +182,10 @@ def boundary_L2_projection(dofmap, q, exactness=None):
     Return: coefficient vector over the boundary dofs, ordered like
     dofmap.boundary.
     """
-    rule = segment_quadrature(2 * dofmap.degree + 2 if exactness is None
-                              else exactness)
-    a, b, lengths = _boundary_geometry(dofmap)
+    rule, lengths, pts = _edge_quadrature(dofmap, exactness)
     tvals = _trace_values(dofmap.degree, rule.points)
-    pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
-    qv = np.asarray(q(pts[..., 0], pts[..., 1]), dtype=np.float64)
-    qv = np.broadcast_to(qv, (len(lengths), len(rule.points)))
-
-    contrib = np.einsum("q,e,eq,nq->en", rule.weights, lengths, qv, tvals)
+    contrib = np.einsum("q,e,eq,nq->en", rule.weights, lengths,
+                        _sample(q, pts), tvals)
     rhs_full = np.zeros(dofmap.num_dofs)
     np.add.at(rhs_full, dofmap.edge_dofs.ravel(), contrib.ravel())
 

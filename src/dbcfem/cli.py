@@ -37,8 +37,9 @@ from .assembly import DofMap, build_block_system
 from .expr import EvalError, ParseError
 from .linalg import SolverError, save_matrix_market
 from .mesh import export_vtk, mesh_hierarchy
-from .problems import (_NEEDS, ConfigError, _errors_exact, config_hash,
-                       load_config, run_convergence, solve_level)
+from .problems import (NORMS, ConfigError, _errors_exact, _matrix_norms,
+                       config_hash, load_config, run_convergence,
+                       solve_level)
 
 _TOLERANCES = {
     "homogeneous": 1e-12,
@@ -112,16 +113,13 @@ def cmd_solve(args):
         save_matrix_market(os.path.join(args.out, "rhs.mtx"),
                            system.rhs().reshape(-1, 1))
 
-    mass, bmass = dofmap.mass, dofmap.boundary_mass
-    norms = {
-        "l2_y": math.sqrt(sol.y.coeffs @ (mass @ sol.y.coeffs)),
-        "l2_z": math.sqrt(sol.z.coeffs @ (mass @ sol.z.coeffs)),
-        "l2_u_boundary": math.sqrt(sol.y.coeffs @ (bmass @ sol.y.coeffs)),
-    }
+    norms = _matrix_norms(dofmap, sol.y.coeffs, sol.z.coeffs,
+                          ("l2_y", "l2_z", "l2_u"))
+    norms["l2_u_boundary"] = norms.pop("l2_u")
     if spec.exact is not None:
         norms["errors"] = _errors_exact(
             spec, sol, [key for key in ("l2_y", "h1_y", "l2_z", "l2_u")
-                        if _NEEDS[key] in spec.exact])
+                        if NORMS[key][1] in spec.exact])
 
     record = _record("solve", spec, [sol], report={
         "level": sol.level, "num_dofs": dofmap.num_dofs,
@@ -185,15 +183,12 @@ def _verify_checks(spec):
     checks.append(("homogeneous-data-zero-solution", worst <= tol,
                    "max |coefficient| %.3e (tolerance %g)" % (worst, tol)))
 
-    gal = max(s.galerkin_residual for s in solutions)
-    tol = _TOLERANCES["galerkin"]
-    checks.append(("state-galerkin-identity", gal <= tol,
-                   "max relative residual %.3e (tolerance %g)" % (gal, tol)))
-
-    adj = max(s.adjoint_residual for s in solutions)
-    tol = _TOLERANCES["adjoint"]
-    checks.append(("adjoint-consistency", adj <= tol,
-                   "max relative residual %.3e (tolerance %g)" % (adj, tol)))
+    for name, block in (("state-galerkin-identity", "galerkin"),
+                        ("adjoint-consistency", "adjoint")):
+        worst = max(getattr(s, block + "_residual") for s in solutions)
+        tol = _TOLERANCES[block]
+        checks.append((name, worst <= tol, "max relative residual %.3e "
+                       "(tolerance %g)" % (worst, tol)))
 
     bubble_sols = [s for s in solutions if s.level >= 1]
     if len(bubble_sols) >= 2:
@@ -210,10 +205,7 @@ def _verify_checks(spec):
 
     if (spec.exact is not None and "y" in spec.exact
             and "y_grad" in spec.exact):
-        fy = spec.field(spec.exact["y"])
-        g1 = spec.field(spec.exact["y_grad"][0])
-        g2 = spec.field(spec.exact["y_grad"][1])
-        grad = lambda x1, x2: (g1(x1, x2), g2(x1, x2))
+        fy, grad = spec.exact_field("y"), spec.exact_field("y_grad")
         ratios = [verify_L2_controlled_by_H1(s.y, fy, grad)
                   for s in solutions]
         ok = (all(math.isfinite(r) for r in ratios)

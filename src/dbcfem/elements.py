@@ -31,19 +31,8 @@ class ReferenceBasis:
         if self.degree not in (1, 2):
             raise ValueError("unsupported degree %r (only 1 and 2)" % (self.degree,))
 
-    @property
-    def num_nodes(self):
-        return 3 if self.degree == 1 else 6
-
-    @property
-    def nodes(self):
-        verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-        if self.degree == 1:
-            return np.array(verts)
-        return np.array(verts + [(0.5, 0.0), (0.5, 0.5), (0.0, 0.5)])
-
     def values(self, points):
-        """Basis values at reference points; shape (num_nodes, npoints)."""
+        """Basis values at reference points; shape (nd, npoints)."""
         x, y = np.asarray(points, dtype=np.float64).reshape(-1, 2).T
         l1 = 1.0 - x - y
         if self.degree == 1:
@@ -53,7 +42,7 @@ class ReferenceBasis:
             4 * l1 * x, 4 * x * y, 4 * y * l1])
 
     def gradients(self, points):
-        """Basis gradients at reference points; shape (num_nodes, npoints, 2)."""
+        """Basis gradients at reference points; shape (nd, npoints, 2)."""
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         x, y = pts.T
         n = len(pts)

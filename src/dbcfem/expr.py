@@ -75,48 +75,8 @@ class Expr:
     add/sub/mul/div/pow, and ("call", fname, args).
     """
 
-    def __init__(self, root, names):
+    def __init__(self, root):
         self.root = root
-        self.names = names  # constant names the tree may reference
-
-    def __eq__(self, other):
-        return isinstance(other, Expr) and self.root == other.root
-
-    def __hash__(self):
-        return hash(self.root)
-
-    def __str__(self):
-        return _unparse(self.root, 0)
-
-    def __repr__(self):
-        return "Expr(%s)" % self
-
-
-_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
-_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
-
-
-def _unparse(node, parent_prec):
-    kind = node[0]
-    if kind == "num":
-        text = repr(node[1])
-    elif kind in ("var", "const"):
-        text = node[1]
-    elif kind == "call":
-        text = "%s(%s)" % (node[1], ", ".join(_unparse(a, 0) for a in node[2]))
-    elif kind == "neg":
-        text = "-" + _unparse(node[1], _PREC["neg"])
-    elif kind == "pow":
-        # right associative; the exponent may be a unary chain
-        text = "%s^%s" % (_unparse(node[1], _PREC["pow"] + 1),
-                          _unparse(node[2], _PREC["pow"]))
-    else:
-        lhs = _unparse(node[1], _PREC[kind])
-        rhs = _unparse(node[2], _PREC[kind] + 1)  # - and / are left associative
-        text = "%s %s %s" % (lhs, _SYMBOL[kind], rhs)
-    if kind in _PREC and _PREC[kind] < parent_prec:
-        return "(" + text + ")"
-    return text
 
 
 class _Parser:
@@ -212,7 +172,7 @@ def parse(text, constants=DEFAULT_CONSTANTS):
     kind, _, off = parser.peek()
     if kind != "end":
         raise ParseError("unexpected trailing input", off)
-    return Expr(root, names)
+    return Expr(root)
 
 
 _UNARY_FN = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,

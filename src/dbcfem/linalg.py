@@ -70,11 +70,18 @@ def _residual_vector(system, x):
     return np.concatenate([top, bottom])
 
 
+def _norm_ratio(r, b):
+    """‖r‖/‖b‖ in double precision, or ‖r‖ when b = 0."""
+    rnorm = float(np.linalg.norm(r.astype(np.float64)))
+    bnorm = float(np.linalg.norm(b))
+    return rnorm / bnorm if bnorm != 0.0 else rnorm
+
+
 def _refine(system, x, apply_inverse, tolerance):
     """Up to three refinement sweeps, until the residual clears the gate
     or a sweep does not lower it; returns the iterate with the smallest
-    residual.  A solution at the double-precision floor cannot improve,
-    so sweeps past that point would only repeat the same work.
+    residual and that residual vector.  A solution at the floor of double
+    precision cannot improve, so further sweeps would repeat the work.
     """
     bnorm = np.linalg.norm(system.rhs())
     r = _residual_vector(system, x)
@@ -88,7 +95,7 @@ def _refine(system, x, apply_inverse, tolerance):
         if not rnorm_new < rnorm:
             break
         x, r, rnorm = x_new, r_new, rnorm_new
-    return x
+    return x, r
 
 
 def _factor(matrix, what):
@@ -217,8 +224,10 @@ def solve_block(system, config=None, stats=None):
         stats  -- dict that receives "iterations": the CG count of the
                   first solve and of each refinement sweep (direct-lu:
                   []), "interior": the K_II solver, "dst" or "splu"
-                  (absent for direct-lu), and "residual": the relative
-                  residual of the gate
+                  (absent for direct-lu), "residual": the relative
+                  residual of the gate, and "galerkin" and "adjoint":
+                  its state-row block over ‖F‖ and adjoint-row block
+                  over ‖G‖ (unscaled when F or G is zero)
 
     Raises SolverError if a factorization fails, CG runs out of
     iterations, or the relative residual exceeds the tolerance.
@@ -238,7 +247,10 @@ def solve_block(system, config=None, stats=None):
         apply_inverse = _reduced_solver(  # atol: where _refine stops
             system, config.max_iterations,
             0.25 * config.tolerance * np.linalg.norm(b), stats)
-    x = _refine(system, apply_inverse(b), apply_inverse, config.tolerance)
+    x, r = _refine(system, apply_inverse(b), apply_inverse, config.tolerance)
+    ni = len(system.F)
+    stats["galerkin"] = _norm_ratio(r[:ni], system.F)
+    stats["adjoint"] = _norm_ratio(r[ni:], system.G)
 
     rel = residual(system, x[:n], x[n:])
     stats["residual"] = rel
@@ -250,10 +262,8 @@ def solve_block(system, config=None, stats=None):
 
 def residual(system, Y, Z):
     """Relative residual of the full coupled system at (Y, Z)."""
-    r = _residual_vector(system, np.concatenate([Y, Z]))
-    rnorm = float(np.linalg.norm(r.astype(np.float64)))
-    denom = np.linalg.norm(system.rhs())
-    return rnorm / denom if denom != 0.0 else rnorm
+    return _norm_ratio(_residual_vector(system, np.concatenate([Y, Z])),
+                       system.rhs())
 
 
 def save_matrix_market(path, matrix):

@@ -40,7 +40,6 @@ class TriMesh:
     vertices         -- (nv, 2) float coordinates
     triangles        -- (nt, 3) vertex indices, counterclockwise
     boundary_edges   -- (nbe, 2) vertex indices, a closed ccw walk
-    boundary_markers -- (nbe,) int markers (a single marker, 1)
     level            -- refinement count from the initial mesh
     h_max            -- maximum triangle diameter
     coarse_vertex_count -- vertex count of the parent mesh (0 at level 0)
@@ -51,7 +50,6 @@ class TriMesh:
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
-    boundary_markers: np.ndarray
     level: int
     h_max: float
     coarse_vertex_count: int = 0
@@ -59,7 +57,7 @@ class TriMesh:
 
     def __post_init__(self):
         for arr in (self.vertices, self.triangles, self.boundary_edges,
-                    self.boundary_markers, self.midpoint_of):
+                    self.midpoint_of):
             arr.setflags(write=False)
 
     @property
@@ -111,8 +109,7 @@ def make_initial_mesh(rect):
     boundary_edges = np.array(
         [[0, 1], [1, 2], [2, 5], [5, 8], [8, 7], [7, 6], [6, 3], [3, 0]],
         dtype=np.int64)
-    markers = np.ones(len(boundary_edges), dtype=np.int64)
-    return TriMesh(vertices, triangles, boundary_edges, markers,
+    return TriMesh(vertices, triangles, boundary_edges,
                    level=0, h_max=_h_max(vertices, triangles))
 
 
@@ -186,9 +183,8 @@ def refine_uniform(mesh):
     u, v = mesh.boundary_edges.T
     m = nv + edge_lookup(edges, mesh.boundary_edges)
     bnd = np.stack([u, m, m, v], axis=1).reshape(-1, 2)
-    markers = np.repeat(mesh.boundary_markers, 2)
 
-    return TriMesh(vertices, children, bnd, markers,
+    return TriMesh(vertices, children, bnd,
                    level=mesh.level + 1,
                    h_max=_h_max(vertices, children),
                    coarse_vertex_count=nv,

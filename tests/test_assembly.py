@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from dbcfem.analysis import error_H1_semi, error_L2, interpolate
-from dbcfem.assembly import (DofMap, assemble_boundary_mass, assemble_load,
+from dbcfem.assembly import (DofMap, _cell_quadrature, _physical_gradients,
+                             assemble_boundary_mass, assemble_load,
                              assemble_mass, assemble_stiffness,
                              build_block_system)
+from dbcfem.elements import ReferenceBasis
 from dbcfem.mesh import (TriMesh, make_initial_mesh, mesh_hierarchy,
                          refine_uniform)
 from dbcfem.problems import load_config
@@ -27,7 +29,6 @@ def single_triangle_mesh(p0, p1, p2):
     return TriMesh(vertices=verts,
                    triangles=np.array([[0, 1, 2]]),
                    boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
-                   boundary_markers=np.ones(3, dtype=np.int64),
                    level=0, h_max=max(sides))
 
 
@@ -148,7 +149,6 @@ class TestGlobalMatrices:
         shuffled = TriMesh(vertices=mesh.vertices.copy(),
                            triangles=mesh.triangles[perm].copy(),
                            boundary_edges=mesh.boundary_edges.copy(),
-                           boundary_markers=mesh.boundary_markers.copy(),
                            level=mesh.level, h_max=mesh.h_max)
         for degree in (1, 2):
             a = assemble_stiffness(DofMap(mesh, degree)).toarray()
@@ -315,6 +315,19 @@ class TestDofMap:
         n_edges = len(np.unique(pairs, axis=0))
         assert dofmap.num_dofs == mesh.num_vertices + n_edges
         assert len(dofmap.boundary) == 2 * len(mesh.boundary_edges)
+
+
+class TestPhysicalGradients:
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("exactness", [2, 3, 4, 5, 6])
+    def test_equal_to_the_einsum(self, degree, exactness):
+        basis = ReferenceBasis(degree)
+        for mesh in mesh_hierarchy((0.1, 1.3, 0.2, 0.9), 4):
+            dofmap = DofMap(mesh, degree)
+            rule, _, inv_t, _ = _cell_quadrature(dofmap, exactness)
+            grads = basis.gradients(rule.points)
+            want = np.einsum("tab,nqb->tnqa", inv_t, grads)
+            assert np.array_equal(_physical_gradients(inv_t, grads), want)
 
 
 class TestBitwiseKernels:

@@ -172,13 +172,6 @@ class TestParsing:
         assert expr_eval(parse("2."), 0.0, 0.0) == 2.0
         assert expr_eval(parse("3.25e2"), 0.0, 0.0) == 325.0
 
-    def test_parse_print_parse_is_identity(self):
-        rng = random.Random(20)
-        for _ in range(300):
-            text = random_expression(rng, rng.randint(1, 3))
-            first = parse(text)
-            assert parse(str(first)) == first
-
 
 class TestEvaluation:
     def test_known_values(self):

@@ -141,6 +141,22 @@ class TestSolveBlock:
             want = np.linalg.norm(r) / np.linalg.norm(rhs)
             assert residual(system, Yt, Z) == pytest.approx(want, rel=1e-6)
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_galerkin_and_adjoint_are_the_residual_blocks(self, degree):
+        system = example_system(level=3, degree=degree)
+        stats = {}
+        Y, Z = solve_block(system, stats=stats)
+        rhs = system.rhs()
+        full = system.full().astype(np.longdouble)
+        x = np.concatenate([Y, Z]).astype(np.longdouble)
+        r = (rhs.astype(np.longdouble) - full @ x).astype(float)
+        ni = len(system.F)
+        # abs=0: the residuals are ~1e-14, below approx's default abs
+        assert stats["galerkin"] == pytest.approx(
+            np.linalg.norm(r[:ni]) / np.linalg.norm(system.F), rel=1e-6, abs=0)
+        assert stats["adjoint"] == pytest.approx(
+            np.linalg.norm(r[ni:]) / np.linalg.norm(system.G), rel=1e-6, abs=0)
+
     def test_iteration_limit_raises(self):
         system = example_system(level=4, gamma=0.01)
         with pytest.raises(SolverError, match="2 iterations"):

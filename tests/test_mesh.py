@@ -66,13 +66,12 @@ class TestInitialMesh:
         with pytest.raises(ValueError):
             make_initial_mesh(rect)
 
-    def test_boundary_walk_closed_and_marked(self):
+    def test_boundary_walk_closed(self):
         mesh = make_initial_mesh(UNIT)
         assert len(mesh.boundary_edges) == 8
         heads = mesh.boundary_edges[:, 0]
         tails = np.roll(mesh.boundary_edges[:, 1], 1)
         assert (heads == tails).all()
-        assert (mesh.boundary_markers == 1).all()
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +171,6 @@ class TestRefinement:
         tri[0] = tri[0][::-1]
         bad = TriMesh(vertices=mesh.vertices.copy(), triangles=tri,
                       boundary_edges=mesh.boundary_edges.copy(),
-                      boundary_markers=mesh.boundary_markers.copy(),
                       level=0, h_max=mesh.h_max)
         with pytest.raises(AssertionError):
             check_mesh(bad)
@@ -187,7 +185,6 @@ class TestEdgeNumbering:
         walk[0] = pair
         bad = TriMesh(vertices=mesh.vertices.copy(),
                       triangles=mesh.triangles.copy(), boundary_edges=walk,
-                      boundary_markers=mesh.boundary_markers.copy(),
                       level=0, h_max=mesh.h_max)
         with pytest.raises(AssertionError, match="differs"):
             check_mesh(bad)

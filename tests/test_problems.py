@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ from dbcfem import (
     run_convergence,
     solve_level,
 )
-from dbcfem.problems import config_hash
+from dbcfem.analysis import interpolate
+from dbcfem.assembly import DofMap
+from dbcfem.mesh import mesh_hierarchy
+from dbcfem.problems import NORMS, _errors_exact, _matrix_norms, config_hash
 
 MINIMAL = {
     "domain": [0.0, 1.0, 0.0, 1.0],
@@ -222,6 +226,30 @@ class TestSolveLevel:
         sol = solve_level(quiet, 2)
         assert np.abs(sol.y.coeffs).max() <= 1e-12
         assert np.abs(sol.z.coeffs).max() <= 1e-12
+
+
+class TestNormTable:
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_closed_form_errors_against_zero_are_the_matrix_norms(
+            self, degree):
+        # against zero exact solutions each closed-form error is the norm
+        # of the field itself; y and z differ, so a wrong field or a
+        # wrong operator in the table shows up
+        zero = {"y": "0", "y_grad": ("0", "0"), "z": "0",
+                "z_grad": ("0", "0"), "u": "0"}
+        spec = dataclasses.replace(load_config("example1"), degree=degree,
+                                   exact=zero)
+        dofmap = DofMap(mesh_hierarchy(spec.domain, 3)[-1], degree)
+        sol = SimpleNamespace(
+            y=interpolate(dofmap, lambda a, b: np.sin(3 * a) * np.cos(2 * b)),
+            z=interpolate(dofmap, lambda a, b: np.exp(a) * b * (1 - b)))
+        closed = _errors_exact(spec, sol, NORMS)
+        matrix = _matrix_norms(dofmap, sol.y.coeffs, sol.z.coeffs, NORMS)
+        for key, (_, _, _, operator) in NORMS.items():
+            v = (sol.z if key.endswith("_z") else sol.y).coeffs
+            want = math.sqrt(v @ (getattr(dofmap, operator) @ v))
+            assert closed[key] == pytest.approx(want, rel=1e-12), key
+            assert matrix[key] == pytest.approx(want, rel=1e-12), key
 
 
 class TestRunConvergence:
