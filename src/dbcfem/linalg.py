@@ -27,6 +27,7 @@ from scipy.io import mmwrite
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 METHODS = ("reduced-pcg", "direct-lu")
+_MAX_CG_ITERATIONS = 200
 
 
 class SolverError(RuntimeError):
@@ -37,7 +38,6 @@ class SolverError(RuntimeError):
 class SolverConfig:
     method: str = "reduced-pcg"
     tolerance: float = 1e-12
-    max_iterations: int = 200
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -46,8 +46,6 @@ class SolverConfig:
         if not 0.0 < self.tolerance < 1.0:
             raise ValueError("tolerance must lie in (0, 1), got %r"
                              % (self.tolerance,))
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
 
 
 def _residual_vector(system, x):
@@ -171,7 +169,7 @@ def _interior_solver(K_II, xy):
     return _factor(K_II, "interior stiffness")
 
 
-def _reduced_solver(system, max_iterations, atol, stats):
+def _reduced_solver(system, atol, stats):
     """apply_inverse of the full system through the reduced problem; CG
     stops once the reduced residual (= the boundary-row residual of the
     full system) is below atol.  Writes the interior solver kind ("dst"
@@ -204,7 +202,7 @@ def _reduced_solver(system, max_iterations, atol, stats):
         Y[I] = K_II.solve(F)
         steps = []
         yB, info = cg(H, restrict(B @ Y - G), rtol=0.0, atol=atol, M=M,
-                      maxiter=max_iterations, callback=steps.append)
+                      maxiter=_MAX_CG_ITERATIONS, callback=steps.append)
         stats["iterations"].append(len(steps))
         if info > 0:
             raise SolverError("conjugate gradients did not converge in %d "
@@ -221,13 +219,15 @@ def solve_block(system, config=None, stats=None):
     Keyword arguments:
         config -- SolverConfig; default is reduced-pcg with a 1e-12
                   relative residual tolerance
-        stats  -- dict that receives "iterations": the CG count of the
-                  first solve and of each refinement sweep (direct-lu:
-                  []), "interior": the K_II solver, "dst" or "splu"
-                  (absent for direct-lu), "residual": the relative
-                  residual of the gate, and "galerkin" and "adjoint":
-                  its state-row block over ‖F‖ and adjoint-row block
-                  over ‖G‖ (unscaled when F or G is zero)
+        stats  -- dict that receives the solve record, which
+                  LevelSolution.stats and the run records carry whole:
+                  "iterations": the CG count of the first solve and of
+                  each refinement sweep (direct-lu: []), "interior":
+                  the K_II solver, "dst" or "splu" (absent for
+                  direct-lu), "residual": the relative residual of the
+                  gate, and "galerkin" and "adjoint": its state-row
+                  block over ‖F‖ and adjoint-row block over ‖G‖
+                  (unscaled when F or G is zero)
 
     Raises SolverError if a factorization fails, CG runs out of
     iterations, or the relative residual exceeds the tolerance.
@@ -245,8 +245,7 @@ def solve_block(system, config=None, stats=None):
         apply_inverse = _factor(system.full(), "coupled system").solve
     else:
         apply_inverse = _reduced_solver(  # atol: where _refine stops
-            system, config.max_iterations,
-            0.25 * config.tolerance * np.linalg.norm(b), stats)
+            system, 0.25 * config.tolerance * np.linalg.norm(b), stats)
     x, r = _refine(system, apply_inverse(b), apply_inverse, config.tolerance)
     ni = len(system.F)
     stats["galerkin"] = _norm_ratio(r[:ni], system.F)

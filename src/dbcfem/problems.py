@@ -297,27 +297,14 @@ def config_hash(spec):
 
 @dataclass
 class LevelSolution:
-    """One solved refinement level with its consistency residuals.
-
-    galerkin_residual checks the state rows alone (the discrete state
-    equation restricted to zero-trace test functions); adjoint_residual
-    checks the remaining rows.  Both are the blocks of the solver's
-    80-bit gate residual, relative when the data side is nonzero.
-    iterations is the CG count of the solve, summed over the first
-    solve and the refinement sweeps (0 for direct-lu), and
-    interior_solver the K_II solver, "dst" or "splu" (None for
-    direct-lu).
-    """
+    """One solved refinement level; stats is the record solve_block
+    filled for it (see linalg.solve_block for its keys)."""
 
     level: int
     dofmap: DofMap
     y: FemField
     z: FemField
-    residual: float
-    galerkin_residual: float
-    adjoint_residual: float
-    iterations: int
-    interior_solver: str
+    stats: dict
 
 
 def solve_level(spec, level, dofmap=None, solver_config=None):
@@ -345,11 +332,7 @@ def solve_level(spec, level, dofmap=None, solver_config=None):
     zfull[system.interior] = Z
     return LevelSolution(level=level, dofmap=dofmap,
                          y=FemField(dofmap, Y), z=FemField(dofmap, zfull),
-                         residual=stats["residual"],
-                         galerkin_residual=stats["galerkin"],
-                         adjoint_residual=stats["adjoint"],
-                         iterations=sum(stats["iterations"]),
-                         interior_solver=stats.get("interior"))
+                         stats=stats)
 
 
 def cache_dir():

@@ -218,7 +218,7 @@ class TestStructuralProperties:
                                                   singular_study):
         _, sols1, _ = energy_study
         _, sols2, _ = singular_study
-        worst = max(s.galerkin_residual for s in sols1 + sols2)
+        worst = max(s.stats["galerkin"] for s in sols1 + sols2)
         ok = worst <= 1e-10
         line = record(6, "state-row Galerkin residual", ok,
                       "max relative residual %.3e over both problem "
@@ -317,7 +317,7 @@ class TestQuadraticElements:
             sol = solve_level(spec, level)
             worst_coeff = max(worst_coeff, float(np.abs(sol.y.coeffs).max()),
                               float(np.abs(sol.z.coeffs).max()))
-        gal = max(s.galerkin_residual for s in solutions)
+        gal = max(s.stats["galerkin"] for s in solutions)
         meshes = mesh_hierarchy(UNIT, 6)
         ratios = [verify_boundary_bubble_estimate(DofMap(m, 2))
                   for m in meshes[1:]]

@@ -12,6 +12,7 @@ import pytest
 from scipy.io import mmread
 
 import dbcfem.cli as cli
+import dbcfem.problems as problems
 from dbcfem.cli import main
 
 
@@ -46,9 +47,9 @@ class TestSolve:
         assert len(summary["config_hash"]) == 16
         assert summary["report"]["num_triangles"] == 32
         assert "errors" in summary["report"]["norms"]
-        assert len(summary["iterations"]) == 1
-        assert summary["iterations"][0] > 0
-        assert summary["interior_solvers"] == ["dst"]
+        assert len(summary["solves"]) == 1
+        assert summary["solves"][0]["iterations"][0] > 0
+        assert summary["solves"][0]["interior"] == "dst"
 
     def test_quadratic_solve_records_splu(self, tmp_path):
         config = write_config(tmp_path, {"problem": "example1", "degree": 2})
@@ -56,7 +57,7 @@ class TestSolve:
         assert main(["solve", "--config", config, "--level", "1",
                      "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["interior_solvers"] == ["splu"]
+        assert summary["solves"][0]["interior"] == "splu"
 
     def test_control_column_matches_boundary_trace(self, tmp_path):
         out = tmp_path / "run"
@@ -117,11 +118,11 @@ class TestConvergence:
 
         record = json.loads((tmp_path / "table.run.json").read_text())
         assert record["command"] == "convergence"
-        assert record["levels"] == [0, 1]
-        assert len(record["residuals"]) == 2
-        assert len(record["iterations"]) == 2
+        assert [s["level"] for s in record["solves"]] == [0, 1]
+        assert all("residual" in s for s in record["solves"])
+        assert all("iterations" in s for s in record["solves"])
         # level 0 has a single interior node, too few for the grid test
-        assert record["interior_solvers"] == ["splu", "dst"]
+        assert [s["interior"] for s in record["solves"]] == ["splu", "dst"]
         assert set(record["report"]["errors"]) == {"h1_y", "h1_z", "l2_u"}
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -132,6 +133,34 @@ class TestConvergence:
         first = out.read_bytes()
         main(["convergence", "--config", config, "--out", str(out)])
         assert out.read_bytes() == first
+
+
+class TestSolveRecord:
+    def test_every_solve_block_key_reaches_both_records(self, tmp_path,
+                                                        monkeypatch):
+        solve_block = problems.solve_block
+
+        def probed(system, config=None, stats=None):
+            result = solve_block(system, config, stats=stats)
+            stats["probe"] = 1
+            return result
+
+        monkeypatch.setattr(problems, "solve_block", probed)
+        config = write_config(tmp_path, {"problem": "example1",
+                                         "levels": [0, 1]})
+        assert main(["solve", "--config", config, "--level", "1",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert main(["convergence", "--config", config, "--out",
+                     str(tmp_path / "table.csv")]) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        record = json.loads((tmp_path / "table.run.json").read_text())
+
+        _, solutions = problems.run_convergence(problems.load_config(config))
+        want = [{"level": s.level, **s.stats} for s in solutions]
+        assert all(entry["probe"] == 1
+                   for entry in summary["solves"] + record["solves"])
+        assert record["solves"] == want
+        assert summary["solves"] == want[1:]
 
 
 class TestVerify:
@@ -173,6 +202,13 @@ class TestVerify:
         assert code == 4
         assert "FAIL state-galerkin-identity" in capsys.readouterr().out
 
+    def test_numpy_bool_failure_exits_four(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(cli, "_verify_checks", lambda spec: (
+            [("forced", np.bool_(False), "numpy false")], []))
+        assert main(["verify", "--config", "example1"]) == 4
+        assert "FAIL forced" in capsys.readouterr().out
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -211,8 +247,8 @@ class TestExitCodes:
         assert main(["convergence", "--config", config, "--out",
                      str(out)]) == 0
         record = json.loads((tmp_path / "table.run.json").read_text())
-        assert record["iterations"] == [0, 0]
-        assert record["interior_solvers"] == [None, None]
+        assert [s["iterations"] for s in record["solves"]] == [[], []]
+        assert all("interior" not in s for s in record["solves"])
 
     def test_retired_solver_method_is_a_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, {

@@ -202,9 +202,9 @@ class TestSolveLevel:
     def test_consistency_residuals_are_tiny(self):
         spec = load_config("example1")
         sol = solve_level(spec, 2)
-        assert sol.galerkin_residual <= 1e-10
-        assert sol.adjoint_residual <= 1e-10
-        assert sol.residual <= 1e-10
+        assert sol.stats["galerkin"] <= 1e-10
+        assert sol.stats["adjoint"] <= 1e-10
+        assert sol.stats["residual"] <= 1e-10
 
     def test_adjoint_vanishes_on_the_boundary(self):
         spec = load_config("example1")
