@@ -244,7 +244,8 @@ class BlockSystem:
     interior -- the Z (and test-row) index set I into 0..N
     boundary -- complement of I
     coords   -- N x 2 node coordinates of the dofs, or None; they let
-                the solver recognize the 5-point interior stiffness
+                the solver recognize the 5-point interior stiffness and
+                order the factorization of any other
     """
 
     A: sp.csr_matrix

@@ -14,11 +14,15 @@ solved by CG preconditioned with -B_BB = M_BB + gamma M_Gamma,BB; each
 product with H costs two solves with K_II.  Z follows from the interior
 rows, K_II Z = G_I - (B Y)_I.  When K_II is the 5-point Laplacian of a
 uniform grid (P1 on the rectangle meshes), type-I sine transforms
-diagonalize it; any other K_II is factored with splu.  direct-lu
-factors the whole coupled matrix and is the small-N reference; it is
-the only solver that forms that matrix.
+diagonalize it.  Any other K_II is factored with splu: in a
+nested-dissection order built from the node coordinates, with each
+separator read off K_II's sparsity pattern, or in splu's own COLAMD
+order when the system carries no coordinates.  direct-lu factors the
+whole coupled matrix and is the small-N reference; it is the only
+solver that forms that matrix.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +32,7 @@ from scipy.sparse.linalg import LinearOperator, cg, splu
 
 METHODS = ("reduced-pcg", "direct-lu")
 _MAX_CG_ITERATIONS = 200
+_DISSECTION_LEAF = 16            # parts this small are not split further
 
 
 class SolverError(RuntimeError):
@@ -96,9 +101,9 @@ def _refine(system, x, apply_inverse, tolerance):
     return x, r
 
 
-def _factor(matrix, what):
+def _factor(matrix, what, **options):
     try:
-        return splu(matrix.tocsc())
+        return splu(matrix.tocsc(), **options)
     except RuntimeError as err:
         raise SolverError("factorization of the %s failed (%s); for gamma "
                           "> 0 it should never be singular" % (what, err))
@@ -146,6 +151,86 @@ def _uniform_grid(xy):
     return cell, (m, n), (hx, hy)
 
 
+def _dissection_order(K, xy):
+    """A nested-dissection order p of the rows of K, whose rows belong
+    to the points xy: factor K[p][:, p] (George, 1973).
+
+    All parts of one level are split at once.  A part of more than
+    _DISSECTION_LEAF points is cut at the median of its longer
+    coordinate extent; the separator is read off K's sparsity pattern,
+    as the low-side points with an entry to or from the high side.  The
+    two halves come first and the separator last, so no entry of K
+    couples the halves; this holds on any mesh, as it rests on the
+    pattern and not on the geometry.
+    """
+    n = K.shape[0]
+    A = abs(K.tocsr())
+    E = sp.triu(A + A.T, k=1).tocoo()     # each coupling once, i < j
+    ei, ej = E.row.astype(np.intp), E.col.astype(np.intp)
+    rank = np.empty((2, n), dtype=np.int64)
+    for a in (0, 1):
+        rank[a, np.argsort(xy[:, a])] = np.arange(n)
+    part = np.zeros(n, dtype=np.int64)    # order-preserving part labels
+    live = np.ones(n, dtype=bool)         # in a part still to be split
+    while True:
+        idx = np.flatnonzero(live)
+        g = part[idx]
+        num = part.max(initial=0) + 1
+        size = np.bincount(g, minlength=num)
+        lo = np.full((2, num), np.inf)
+        hi = np.full((2, num), -np.inf)
+        for a in (0, 1):
+            np.minimum.at(lo[a], g, xy[idx, a])
+            np.maximum.at(hi[a], g, xy[idx, a])
+        extent = hi - lo
+        split = (size > _DISSECTION_LEAF) & (extent.max(axis=0) > 0)
+        keep = split[g]
+        live[idx[~keep]] = False
+        if not keep.any():
+            break
+        idx, g = idx[keep], g[keep]
+        size = np.where(split, size, 0)
+        axis = extent.argmax(axis=0)
+        c = xy[idx, axis[g]]
+        by_c = np.argsort(g * n + rank[axis[g], idx])
+        median = np.zeros(num)
+        median[split] = c[by_c[(np.cumsum(size) - size + size // 2)[split]]]
+        at_max = median == hi[axis, np.arange(num)]
+        high = np.where(at_max[g], c >= median[g], c > median[g])
+        # low 3·part, high 3·part + 1: only a low and a high point of one
+        # part differ by exactly 1; -5 marks the points not being split
+        key = np.full(n, -5, dtype=np.int64)
+        key[idx] = 3 * g + high
+        d = key[ej] - key[ei]
+        digit = np.zeros(n, dtype=np.int64)   # low 0, high 1, separator 2
+        digit[idx[high]] = 1
+        digit[ei[d == 1]] = 2
+        digit[ej[d == -1]] = 2
+        live[digit == 2] = False
+        label = 3 * part + digit
+        used = np.zeros(3 * num, dtype=bool)
+        used[label] = True
+        part = (np.cumsum(used) - 1)[label]
+    return np.argsort(part, kind="stable")
+
+
+class _DissectedLU:
+    """splu of K[p][:, p] in the given order p (no further column
+    permutation); .solve and .nnz act as those of a SuperLU of K.
+    """
+
+    def __init__(self, K, p):
+        self._p = p
+        self._lu = _factor(K[p][:, p], "interior stiffness",
+                           permc_spec="NATURAL")
+        self.nnz = self._lu.nnz
+
+    def solve(self, f):
+        x = np.empty(len(self._p))
+        x[self._p] = self._lu.solve(f[self._p])
+        return x
+
+
 def _interior_solver(K_II, xy):
     """An object with .solve for the interior stiffness K_II.
 
@@ -153,7 +238,8 @@ def _interior_solver(K_II, xy):
     coordinates xy are given, K_II has at most five entries per row,
     the nodes fill a uniform grid and K_II equals the 5-point operator
     on it to 1e-12 relative; the identity is checked on every call,
-    never assumed.  Otherwise K_II is factored with splu.
+    never assumed.  Otherwise K_II is factored with splu, in
+    nested-dissection order when xy is given.
     """
     grid = None
     if xy is not None and K_II.nnz <= 5 * K_II.shape[0]:
@@ -166,6 +252,8 @@ def _interior_solver(K_II, xy):
              + b * sp.kron(sp.identity(m), T(n))).tocsr()[cell][:, cell]
         if abs(K_II - L).max() <= 1e-12 * abs(K_II).max():
             return _SineSolver(cell, (m, n), a, b)
+    if xy is not None:
+        return _DissectedLU(K_II, _dissection_order(K_II, xy))
     return _factor(K_II, "interior stiffness")
 
 
@@ -173,8 +261,8 @@ def _reduced_solver(system, atol, stats):
     """apply_inverse of the full system through the reduced problem; CG
     stops once the reduced residual (= the boundary-row residual of the
     full system) is below atol.  Writes the interior solver kind ("dst"
-    or "splu") to stats["interior"] and appends each CG count to
-    stats["iterations"].
+    or "splu") to stats["interior"], the size of an splu factor to
+    stats["fill"], and appends each CG count to stats["iterations"].
     """
     I, Bnd, B = system.interior, system.boundary, system.B
     n, ni, nb = system.num_dofs, len(I), len(Bnd)
@@ -182,6 +270,8 @@ def _reduced_solver(system, atol, stats):
     K_II = _interior_solver(system.C[I, :], None if system.coords is None
                             else system.coords[I])
     stats["interior"] = "dst" if isinstance(K_II, _SineSolver) else "splu"
+    if stats["interior"] == "splu":
+        stats["fill"] = K_II.nnz
     precond = _factor(-B[Bnd][:, Bnd], "boundary mass")
 
     def extend(yB, Y):           # Y + E·yB, in place
@@ -224,10 +314,13 @@ def solve_block(system, config=None, stats=None):
                   "iterations": the CG count of the first solve and of
                   each refinement sweep (direct-lu: []), "interior":
                   the K_II solver, "dst" or "splu" (absent for
-                  direct-lu), "residual": the relative residual of the
-                  gate, and "galerkin" and "adjoint": its state-row
-                  block over ‖F‖ and adjoint-row block over ‖G‖
-                  (unscaled when F or G is zero)
+                  direct-lu), "fill": the entries SuperLU stores for
+                  the L and U factors of K_II (only with "splu"),
+                  "residual": the relative residual of the gate, and
+                  "galerkin" and "adjoint": its state-row block over
+                  ‖F‖ and adjoint-row block over ‖G‖ (unscaled when F
+                  or G is zero); the finished record is logged at
+                  DEBUG level to the "dbcfem" logger
 
     Raises SolverError if a factorization fails, CG runs out of
     iterations, or the relative residual exceeds the tolerance.
@@ -253,6 +346,7 @@ def solve_block(system, config=None, stats=None):
 
     rel = residual(system, x[:n], x[n:])
     stats["residual"] = rel
+    logging.getLogger("dbcfem").debug("solve record %s", stats)
     if not rel <= config.tolerance:
         raise SolverError("relative residual %.3e exceeds tolerance %.1e"
                           % (rel, config.tolerance))

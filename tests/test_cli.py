@@ -6,6 +6,7 @@ stay simple; the exit-code contract is 0 success, 2 config/usage,
 """
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -50,6 +51,7 @@ class TestSolve:
         assert len(summary["solves"]) == 1
         assert summary["solves"][0]["iterations"][0] > 0
         assert summary["solves"][0]["interior"] == "dst"
+        assert "fill" not in summary["solves"][0]
 
     def test_quadratic_solve_records_splu(self, tmp_path):
         config = write_config(tmp_path, {"problem": "example1", "degree": 2})
@@ -58,6 +60,8 @@ class TestSolve:
                      "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["solves"][0]["interior"] == "splu"
+        fill = summary["solves"][0]["fill"]
+        assert isinstance(fill, int) and fill > 0
 
     def test_control_column_matches_boundary_trace(self, tmp_path):
         out = tmp_path / "run"
@@ -193,6 +197,27 @@ class TestVerify:
         assert code == 0
         assert "SKIP boundary-bubble-inverse-estimate" in out
         assert "SKIP discrete-stability-bounded" in out
+
+    def test_every_solve_record_is_logged(self, tmp_path, capsys, caplog,
+                                          monkeypatch):
+        # verify writes no run record; its solves reach the log instead
+        records = []
+        solve_block = problems.solve_block
+
+        def recording(system, config=None, stats=None):
+            result = solve_block(system, config, stats=stats)
+            records.append(stats)
+            return result
+
+        monkeypatch.setattr(problems, "solve_block", recording)
+        caplog.set_level(logging.DEBUG, logger="dbcfem")
+        config = write_config(tmp_path, {"problem": "example1",
+                                         "levels": [0, 1]})
+        assert main(["verify", "--config", config]) == 0
+        logged = [r.getMessage() for r in caplog.records
+                  if r.name == "dbcfem"]
+        assert len(records) >= 2
+        assert logged == ["solve record %s" % (stats,) for stats in records]
 
     def test_failed_check_exits_four(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(cli._TOLERANCES, "galerkin", 1e-30)

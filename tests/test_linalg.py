@@ -1,5 +1,8 @@
 """Coupled-system solves, residual gating, and sparse kernels."""
 
+import contextlib
+import functools
+import logging
 import os
 import subprocess
 import sys
@@ -129,33 +132,52 @@ class TestSolveBlock:
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_residual_matches_the_coupled_matrix(self, degree):
+        # compared away from the solution, where the residual (~1e-6) is
+        # far above the rounding of either evaluation; at the solution
+        # (~1e-14) two 80-bit evaluations differ in the sixth digit
         system = example_system(level=3, degree=degree)
         Y, Z = solve_block(system)
         rhs = system.rhs()
         full = system.full().astype(np.longdouble)
         noise = 1e-6 * np.random.default_rng(3).standard_normal(len(Y))
-        for Yt in (Y, Y + noise):
-            x = np.concatenate([Yt, Z]).astype(np.longdouble)
-            r = (rhs.astype(np.longdouble) - full @ x).astype(float)
-            want = np.linalg.norm(r) / np.linalg.norm(rhs)
-            assert residual(system, Yt, Z) == pytest.approx(want, rel=1e-6,
-                                                            abs=0)
+        x = np.concatenate([Y + noise, Z])
+        want = rhs.astype(np.longdouble) - full @ x.astype(np.longdouble)
+        got = linalg._residual_vector(system, x)
+        ni = len(system.F)
+        for block in (slice(0, ni), slice(ni, None)):
+            assert (np.linalg.norm((got[block] - want[block]).astype(float))
+                    <= 1e-12 * np.linalg.norm(want[block].astype(float)))
+        want = np.linalg.norm(want.astype(float)) / np.linalg.norm(rhs)
+        assert residual(system, Y + noise, Z) == pytest.approx(
+            want, rel=1e-6, abs=0)
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_galerkin_and_adjoint_are_the_residual_blocks(self, degree):
         system = example_system(level=3, degree=degree)
         stats = {}
         Y, Z = solve_block(system, stats=stats)
-        rhs = system.rhs()
-        full = system.full().astype(np.longdouble)
-        x = np.concatenate([Y, Z]).astype(np.longdouble)
-        r = (rhs.astype(np.longdouble) - full @ x).astype(float)
+        r = linalg._residual_vector(system, np.concatenate([Y, Z]))
         ni = len(system.F)
-        # abs=0: the residuals are ~1e-14, below approx's default abs
-        assert stats["galerkin"] == pytest.approx(
-            np.linalg.norm(r[:ni]) / np.linalg.norm(system.F), rel=1e-6, abs=0)
-        assert stats["adjoint"] == pytest.approx(
-            np.linalg.norm(r[ni:]) / np.linalg.norm(system.G), rel=1e-6, abs=0)
+        assert stats["galerkin"] == linalg._norm_ratio(r[:ni], system.F)
+        assert stats["adjoint"] == linalg._norm_ratio(r[ni:], system.G)
+        assert stats["residual"] == residual(system, Y, Z)
+
+    @pytest.mark.parametrize("tolerance,outcome", [
+        (1e-12, contextlib.nullcontext()),
+        (1e-30, pytest.raises(SolverError)),   # the failing record too
+    ])
+    def test_solve_record_is_logged_once(self, caplog, tolerance, outcome):
+        caplog.set_level(logging.DEBUG, logger="dbcfem")
+        stats = {}
+        with outcome:
+            solve_block(example_system(level=2, degree=2),
+                        SolverConfig(tolerance=tolerance), stats=stats)
+        logged = [r for r in caplog.records if r.name == "dbcfem"]
+        assert len(logged) == 1
+        assert logged[0].levelno == logging.DEBUG
+        assert logged[0].getMessage() == "solve record %s" % (stats,)
+        assert set(stats) == {"iterations", "interior", "fill", "residual",
+                              "galerkin", "adjoint"}
 
     def test_iteration_limit_raises(self, monkeypatch):
         monkeypatch.setattr(linalg, "_MAX_CG_ITERATIONS", 2)
@@ -292,15 +314,31 @@ class TestInteriorSolver:
         # and K_II has at most five entries per row; only the operator
         # identity rejects it
         K, xy = interior_block(RECTANGLES[0], level, degree=2)
-        assert isinstance(_interior_solver(K, xy), SuperLU)
+        assert not isinstance(_interior_solver(K, xy), _SineSolver)
+        stats = {}
+        solve_block(example_system(level=level, degree=2), stats=stats)
+        assert stats["interior"] == "splu"
 
     def test_perturbed_entry_takes_splu(self):
+        def perturbed(K):
+            K = K.tocoo()
+            K.data[np.flatnonzero(K.row != K.col)[0]] += 1e-8
+            return K.tocsr()
+
         K, xy = interior_block(RECTANGLES[1], 3)
-        K = K.tocoo()
-        K.data[np.flatnonzero(K.row != K.col)[0]] += 1e-8
-        K = K.tocsr()
+        K = perturbed(K)
         assert K.nnz <= 5 * K.shape[0]
-        assert isinstance(_interior_solver(K, xy), SuperLU)
+        assert not isinstance(_interior_solver(K, xy), _SineSolver)
+        system = example_system(level=3)
+        I = system.interior
+        C = system.C.tolil()
+        C[I] = perturbed(C[I])
+        system = BlockSystem(A=system.A, B=system.B, C=C.tocsr(),
+                             F=system.F, G=system.G, interior=I,
+                             boundary=system.boundary, coords=system.coords)
+        stats = {}
+        solve_block(system, stats=stats)
+        assert stats["interior"] == "splu"
 
     def test_system_without_coordinates_takes_splu(self):
         system = example_system(level=3)
@@ -348,6 +386,97 @@ class TestInteriorSolver:
         monkeypatch.setattr(linalg, "splu", counting)
         solve_block(example_system(level=3, degree=degree))
         assert len(count) == calls
+
+
+def recursive_dissection(K, xy, leaf=linalg._DISSECTION_LEAF):
+    """The nested-dissection order one part at a time, by recursion, and
+    its splits as (start, low, high, separator) sizes in that order."""
+    S = (abs(K) + abs(K).T).tocsr()
+    splits = []
+
+    def order(nodes, start):
+        if len(nodes) <= leaf or np.ptp(xy[nodes], axis=0).max() == 0:
+            return nodes
+        c = xy[nodes, np.argmax(np.ptp(xy[nodes], axis=0))]
+        median = np.sort(c)[len(c) // 2]
+        high = c >= median if median == c.max() else c > median
+        low, up = nodes[~high], nodes[high]
+        on_sep = np.diff(S[low][:, up].tocsr().indptr) > 0
+        low, sep = low[~on_sep], low[on_sep]
+        splits.append((start, len(low), len(up), len(sep)))
+        return np.concatenate([order(low, start),
+                               order(up, start + len(low)), sep])
+
+    return order(np.arange(K.shape[0]), 0), splits
+
+
+@functools.lru_cache(maxsize=None)
+def p2_block(rect, level):
+    """interior_block at degree 2, built once per test session; callers
+    must not modify the matrix."""
+    return interior_block(rect, level, degree=2)
+
+
+class TestDissectionOrder:
+    """The splu fallback for K_II factors it in nested-dissection order."""
+
+    @pytest.mark.parametrize("rect", RECTANGLES)
+    @pytest.mark.parametrize("degree,level", [(1, 0), (2, 0), (1, 4),
+                                              (2, 2), (2, 3)])
+    def test_matches_the_recursive_bisection(self, rect, degree, level):
+        K, xy = interior_block(rect, level, degree)
+        want, _ = recursive_dissection(K, xy)
+        got = linalg._dissection_order(K, xy)
+        assert np.array_equal(np.sort(got), np.arange(K.shape[0]))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("rect", RECTANGLES)
+    def test_no_entry_couples_the_halves_of_a_split(self, rect, shuffle):
+        K, xy = p2_block(rect, 3)
+        if shuffle:               # any numbering of the nodes
+            q = np.random.default_rng(7).permutation(K.shape[0])
+            K, xy = K[q][:, q], xy[q]
+        p = linalg._dissection_order(K, xy)
+        want, splits = recursive_dissection(K, xy)
+        assert np.array_equal(p, want)
+        assert len(splits) > 10
+        Kp = K[p][:, p].tocsr()
+        for start, low, high, _ in splits:
+            a, b = slice(start, start + low), slice(start + low,
+                                                    start + low + high)
+            assert Kp[a, b].count_nonzero() == 0
+            assert Kp[b, a].count_nonzero() == 0
+
+    def test_one_sided_entries_separate_as_well(self):
+        # the separator comes from the pattern of K + K^T: an entry in
+        # one triangle only couples its two nodes just the same
+        K, xy = p2_block(RECTANGLES[3], 3)
+        p = linalg._dissection_order(K, xy)
+        for half in (sp.tril(K), sp.triu(K)):
+            assert np.array_equal(linalg._dissection_order(half, xy), p)
+
+    @pytest.mark.parametrize("level", [3, 4, 5])
+    @pytest.mark.parametrize("rect", RECTANGLES)
+    def test_solve_matches_colamd(self, rect, level):
+        K, xy = p2_block(rect, level)
+        f = np.random.default_rng(13).standard_normal(K.shape[0])
+        want = linalg._factor(K, "test").solve(f)
+        got = _interior_solver(K, xy).solve(f)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_fill_below_colamd(self):
+        # measured: 1,162,718 entries against COLAMD's 2,496,400; COLAMD
+        # on top of the dissection order keeps about COLAMD's fill
+        K, xy = p2_block(RECTANGLES[0], 5)
+        nd = _interior_solver(K, xy).nnz
+        assert nd < 0.6 * linalg._factor(K, "test").nnz
+
+    def test_without_coordinates_colamd_is_kept(self):
+        K, _ = p2_block(RECTANGLES[0], 3)
+        lu = _interior_solver(K, None)
+        assert isinstance(lu, SuperLU)
+        assert lu.nnz == linalg._factor(K, "test").nnz
 
 
 def test_import_does_not_load_scipy_fft():
