@@ -218,13 +218,13 @@ def assemble_boundary_mass(dofmap):
     return _scatter(dofmap.edge_dofs, local, dofmap.num_dofs)
 
 
-def assemble_load(dofmap, g, exactness=None):
+def assemble_load(dofmap, g):
     """Vector with entries (g, phi_i); g is a callable of (x1, x2) arrays.
 
-    The default quadrature exactness is 2k+2 so that, for instance, a
+    The quadrature exactness is 2k+2 so that, for instance, a
     quadratic g against a linear basis is integrated exactly.
     """
-    rule, det, _, pts = _cell_quadrature(dofmap, exactness)
+    rule, det, _, pts = _cell_quadrature(dofmap)
     vals = ReferenceBasis(dofmap.degree).values(rule.points)
     contrib = np.einsum("q,t,tq,nq->tn", rule.weights, det, _sample(g, pts),
                         vals)
@@ -243,9 +243,9 @@ class BlockSystem:
     F, G     -- load vectors of length |I| and N
     interior -- the Z (and test-row) index set I into 0..N
     boundary -- complement of I
-    coords   -- N x 2 node coordinates of the dofs, or None; they let
-                the solver recognize the 5-point interior stiffness and
-                order the factorization of any other
+    coords   -- N x 2 node coordinates of the dofs; they let the solver
+                recognize the 5-point interior stiffness and order the
+                factorization of any other
     """
 
     A: sp.csr_matrix
@@ -255,7 +255,7 @@ class BlockSystem:
     G: np.ndarray
     interior: np.ndarray
     boundary: np.ndarray
-    coords: np.ndarray = None
+    coords: np.ndarray
 
     @property
     def num_dofs(self):

@@ -13,8 +13,8 @@ small recursive-descent one:
 
 '^' binds tighter than unary minus and is right associative, so
 -x1^2 == -(x1^2) and 2^3^2 == 2^(3^2).  Functions: sin, cos, exp, log,
-sqrt, pow, abs.  Named constants: pi is always available, gamma and s
-(plus any per-config extras) are resolved at evaluation time.
+sqrt, pow, abs.  Named constants: pi is always available; gamma and
+any per-config extras (such as s) are resolved at evaluation time.
 
 Evaluation is numpy-vectorized and raises EvalError on domain faults
 (log of a nonpositive value, division by zero, overflow) instead of
@@ -27,7 +27,7 @@ import numpy as np
 
 FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "log": 1, "sqrt": 1, "pow": 2, "abs": 1}
 VARIABLES = ("x1", "x2")
-DEFAULT_CONSTANTS = ("gamma", "pi", "s")
+DEFAULT_CONSTANTS = ("gamma", "pi")
 
 
 class ParseError(ValueError):
@@ -161,12 +161,13 @@ def parse(text, constants=DEFAULT_CONSTANTS):
     """Parse an expression string into an Expr.
 
     Keyword arguments:
-        constants -- iterable of constant names allowed besides pi
+        constants -- iterable of constant names allowed besides gamma
+                     and pi
 
     Raises ParseError (with .offset) on syntax errors, unknown
     identifiers and wrong function arity.
     """
-    names = frozenset(constants) | {"pi"} | frozenset(DEFAULT_CONSTANTS)
+    names = frozenset(constants) | frozenset(DEFAULT_CONSTANTS)
     parser = _Parser(_tokenize(text), names)
     root = parser.expr()
     kind, _, off = parser.peek()
@@ -216,7 +217,7 @@ def eval(e, x1, x2, constants=None):
     """Evaluate an Expr at x1, x2 (scalars or broadcastable arrays).
 
     Keyword arguments:
-        constants -- mapping of constant names to values (gamma, s, ...)
+        constants -- mapping of constant names to values (gamma, ...)
 
     Return: float for scalar input, ndarray otherwise.
     Raises EvalError on numeric faults.

@@ -14,10 +14,9 @@ solved by CG preconditioned with -B_BB = M_BB + gamma M_Gamma,BB; each
 product with H costs two solves with K_II.  Z follows from the interior
 rows, K_II Z = G_I - (B Y)_I.  When K_II is the 5-point Laplacian of a
 uniform grid (P1 on the rectangle meshes), type-I sine transforms
-diagonalize it.  Any other K_II is factored with splu: in a
+diagonalize it.  Any other K_II is factored with splu in a
 nested-dissection order built from the node coordinates, with each
-separator read off K_II's sparsity pattern, or in splu's own COLAMD
-order when the system carries no coordinates.  direct-lu factors the
+separator read off K_II's sparsity pattern.  direct-lu factors the
 whole coupled matrix and is the small-N reference; it is the only
 solver that forms that matrix.
 """
@@ -232,18 +231,16 @@ class _DissectedLU:
 
 
 def _interior_solver(K_II, xy):
-    """An object with .solve for the interior stiffness K_II.
+    """An object with .solve for the interior stiffness K_II, whose
+    rows belong to the interior node coordinates xy.
 
-    The sine-transform solver is taken only if the interior node
-    coordinates xy are given, K_II has at most five entries per row,
-    the nodes fill a uniform grid and K_II equals the 5-point operator
-    on it to 1e-12 relative; the identity is checked on every call,
-    never assumed.  Otherwise K_II is factored with splu, in
-    nested-dissection order when xy is given.
+    The sine-transform solver is taken only if K_II has at most five
+    entries per row, the nodes fill a uniform grid and K_II equals the
+    5-point operator on it to 1e-12 relative; the identity is checked
+    on every call, never assumed.  Otherwise K_II is factored with
+    splu in nested-dissection order.
     """
-    grid = None
-    if xy is not None and K_II.nnz <= 5 * K_II.shape[0]:
-        grid = _uniform_grid(xy)
+    grid = _uniform_grid(xy) if K_II.nnz <= 5 * K_II.shape[0] else None
     if grid is not None:
         cell, (m, n), (hx, hy) = grid
         a, b = hy / hx, hx / hy
@@ -252,9 +249,7 @@ def _interior_solver(K_II, xy):
              + b * sp.kron(sp.identity(m), T(n))).tocsr()[cell][:, cell]
         if abs(K_II - L).max() <= 1e-12 * abs(K_II).max():
             return _SineSolver(cell, (m, n), a, b)
-    if xy is not None:
-        return _DissectedLU(K_II, _dissection_order(K_II, xy))
-    return _factor(K_II, "interior stiffness")
+    return _DissectedLU(K_II, _dissection_order(K_II, xy))
 
 
 def _reduced_solver(system, atol, stats):
@@ -267,8 +262,7 @@ def _reduced_solver(system, atol, stats):
     I, Bnd, B = system.interior, system.boundary, system.B
     n, ni, nb = system.num_dofs, len(I), len(Bnd)
     K_IB, K_BI = system.A[:, Bnd].tocsr(), system.C[Bnd, :].tocsr()
-    K_II = _interior_solver(system.C[I, :], None if system.coords is None
-                            else system.coords[I])
+    K_II = _interior_solver(system.C[I, :], system.coords[I])
     stats["interior"] = "dst" if isinstance(K_II, _SineSolver) else "splu"
     if stats["interior"] == "splu":
         stats["fill"] = K_II.nnz

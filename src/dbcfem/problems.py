@@ -24,7 +24,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from zipfile import BadZipFile
 
 import numpy as np
@@ -32,7 +32,7 @@ import numpy as np
 from . import analysis, expr
 from .analysis import ConvergenceReport, FemField, compute_eoc
 from .assembly import DofMap, build_block_system
-from .linalg import METHODS, SolverConfig, solve_block
+from .linalg import SolverConfig, solve_block
 from .mesh import mesh_hierarchy, prolong_linear
 
 
@@ -54,25 +54,24 @@ NORMS = {
 NORM_KEYS = tuple(NORMS)
 
 
-def compile_field(source, constants):
-    """Compile an expression string into a vectorized callable (x1, x2).
-
-    Keyword arguments:
-        constants -- mapping of constant names to values, available both
-                     at parse time (as names) and at evaluation
-    """
-    tree = expr.parse(source, constants=tuple(constants))
-
-    def fn(x1, x2):
-        return expr.eval(tree, x1, x2, constants=constants)
-
-    fn.source = source
-    return fn
+def _column(entry):
+    """(key, with_order) from a norm key or a [key, with_order] pair."""
+    if isinstance(entry, str):
+        return entry, True
+    if len(entry) != 2:
+        raise ConfigError("column entries are a norm key or a "
+                          "[key, with_order] pair")
+    return str(entry[0]), bool(entry[1])
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Validated problem setup; construct via load_config for JSON input."""
+    """Validated problem setup; construct via load_config for JSON input.
+
+    Direct construction and dataclasses.replace are normalized and
+    checked here just as JSON input is: a column is a norm key or a
+    (key, with_order) pair, and a *_grad entry of exact is a pair.
+    """
 
     name: str
     domain: tuple
@@ -93,8 +92,11 @@ class ProblemSpec:
         fix("domain", tuple(float(v) for v in self.domain))
         fix("gamma", float(self.gamma))
         fix("levels", tuple(int(v) for v in self.levels))
-        fix("columns", tuple((str(k), bool(o)) for k, o in self.columns))
+        fix("columns", tuple(map(_column, self.columns)))
         fix("constants", dict(self.constants or {}))
+        if self.exact is not None:
+            fix("exact", {k: tuple(v) if k.endswith("_grad") else v
+                          for k, v in self.exact.items()})
 
         if len(self.domain) != 4:
             raise ConfigError("domain must be (x_min, x_max, y_min, y_max)")
@@ -115,13 +117,13 @@ class ProblemSpec:
             if key not in NORM_KEYS:
                 raise ConfigError("unknown norm key '%s' (choose from %s)"
                                   % (key, ", ".join(NORM_KEYS)))
-        if self.solver_method not in METHODS:
-            raise ConfigError("unknown solver method '%s'" % self.solver_method)
-        if not 0.0 < float(self.solver_tolerance) < 1.0:
-            raise ConfigError("solver tolerance must lie in (0, 1)")
+        try:
+            SolverConfig(self.solver_method, self.solver_tolerance)
+        except (TypeError, ValueError) as err:
+            raise ConfigError("bad solver settings: %s" % err) from None
         for cname in self.constants:
             if (cname in expr.VARIABLES or cname in expr.FUNCTIONS
-                    or cname in ("pi", "gamma")):
+                    or cname in expr.DEFAULT_CONSTANTS):
                 raise ConfigError("constant name '%s' is reserved" % cname)
 
         if self.exact is None:
@@ -141,31 +143,30 @@ class ProblemSpec:
                     raise ConfigError("column '%s' needs exact['%s']"
                                       % (key, NORMS[key][1]))
 
-        self._parse_all()
-
-    def _parse_all(self):
         sources = [("f", self.f), ("y_d", self.y_d)]
-        if self.exact is not None:
-            for key, value in self.exact.items():
-                if key in ("y_grad", "z_grad"):
-                    if len(value) != 2:
-                        raise ConfigError("exact['%s'] must hold two "
-                                          "components" % key)
-                    sources += [(key, value[0]), (key, value[1])]
-                else:
-                    sources.append((key, value))
+        for key, value in (self.exact or {}).items():
+            if key.endswith("_grad"):
+                if len(value) != 2:
+                    raise ConfigError("exact['%s'] must hold two "
+                                      "components" % key)
+                sources += [(key, value[0]), (key, value[1])]
+            else:
+                sources.append((key, value))
         for label, source in sources:
             try:
-                expr.parse(source, constants=tuple(self.constants))
+                self.field(source)
             except expr.ParseError as err:
                 raise ConfigError("bad expression for %s: %s"
                                   % (label, err)) from None
 
-    def eval_constants(self):
-        return {"gamma": self.gamma, **self.constants}
-
     def field(self, source):
-        return compile_field(source, self.eval_constants())
+        """Vectorized callable (x1, x2) of an expression string, with
+        gamma and the declared constants bound to their values."""
+        tree = expr.parse(source, constants=tuple(self.constants))
+        constants = {"gamma": self.gamma, **self.constants}
+        # expr.eval is looked up at each call, so a wrapper installed on
+        # the expr module sees every evaluation
+        return lambda x1, x2: expr.eval(tree, x1, x2, constants=constants)
 
     def exact_field(self, name):
         """Callable of exact[name]; a *_grad entry returns the pair."""
@@ -183,7 +184,6 @@ REGISTRY = {
         "degree": 1,
         "f": "-4/gamma",
         "y_d": "(2 + 1/gamma)*(x1^2 - x1 + x2^2 - x2)",
-        "constants": {},
         "exact": {
             "y": "(x1^2 - x1 + x2^2 - x2)/gamma",
             "y_grad": ("(2*x1 - 1)/gamma", "(2*x2 - 1)/gamma"),
@@ -193,7 +193,6 @@ REGISTRY = {
             "u": "(x1^2 - x1 + x2^2 - x2)/gamma",
         },
         "levels": (0, 1, 2, 3, 4),
-        "reference_level": None,
         "columns": (("h1_y", True), ("h1_z", True), ("l2_u", True)),
     },
     "example2": {
@@ -204,7 +203,6 @@ REGISTRY = {
         "f": "0",
         "y_d": "(x1^2 + x2^2)^s",
         "constants": {"s": 1e-5},
-        "exact": None,
         "levels": (0, 1, 2, 3, 4),
         "reference_level": 7,
         # With a zero volume force the load norm is ~1e5 times smaller
@@ -218,23 +216,6 @@ REGISTRY = {
     },
 }
 
-_CONFIG_KEYS = ("domain", "gamma", "degree", "f", "y_d", "constants", "exact",
-                "levels", "reference_level", "columns", "solver_method",
-                "solver_tolerance")
-
-
-def _normalize_columns(columns):
-    out = []
-    for entry in columns:
-        if isinstance(entry, str):
-            out.append((entry, True))
-        else:
-            if len(entry) != 2:
-                raise ConfigError("column entries are a norm key or a "
-                                  "[key, with_order] pair")
-            out.append((str(entry[0]), bool(entry[1])))
-    return tuple(out)
-
 
 def load_config(source):
     """Build a ProblemSpec from a preset name or a JSON config path.
@@ -243,6 +224,7 @@ def load_config(source):
     its fields, or define every field itself.  Unknown keys are an
     error rather than a silent ignore.
     """
+    settable = [f for f in fields(ProblemSpec) if f.name != "name"]
     if source in REGISTRY:
         merged = copy.deepcopy(REGISTRY[source])
     else:
@@ -259,24 +241,16 @@ def load_config(source):
                 raise ConfigError("unknown problem preset '%s'" % base)
             merged = copy.deepcopy(REGISTRY[base])
         else:
-            merged = {"name": os.path.splitext(os.path.basename(source))[0],
-                      "constants": {}, "exact": None, "reference_level": None}
-        unknown = sorted(set(data) - set(_CONFIG_KEYS))
+            merged = {"name": os.path.splitext(os.path.basename(source))[0]}
+        unknown = sorted(set(data) - {f.name for f in settable})
         if unknown:
             raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
         merged.update(data)
 
-    missing = [k for k in ("domain", "gamma", "degree", "f", "y_d", "levels",
-                           "columns") if k not in merged]
+    missing = [f.name for f in settable
+               if f.default is MISSING and f.name not in merged]
     if missing:
         raise ConfigError("config is missing: %s" % ", ".join(missing))
-    merged["columns"] = _normalize_columns(merged["columns"])
-    if merged.get("exact") is not None:
-        exact = dict(merged["exact"])
-        for key in ("y_grad", "z_grad"):
-            if key in exact:
-                exact[key] = tuple(exact[key])
-        merged["exact"] = exact
     return ProblemSpec(**merged)
 
 

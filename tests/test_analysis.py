@@ -1,7 +1,8 @@
 """Error norms, the fractional boundary seminorm, and the verifiers.
 
 The H^{1/2} seminorm is checked against a dense double-integral oracle
-(tests/oracles.py) that shares no code with the package quadrature.
+(tests/oracles.py) that shares no code with the package quadrature, and
+its quadrature sum against the same rule applied pair by pair.
 """
 
 import math
@@ -32,6 +33,7 @@ from oracles import (
     as_float,
     dense_global_matrix,
     seminorm_dense_oracle,
+    seminorm_pairwise,
     walk_trace,
 )
 
@@ -96,13 +98,6 @@ class TestErrorNorms:
         # 1/3 each, left edge 0
         assert error_L2_boundary(field, zero) == pytest.approx(
             math.sqrt(5 / 3), rel=1e-13)
-
-    def test_exactness_override_changes_nothing_for_polynomials(self):
-        dofmap = DofMap(mesh_hierarchy(UNIT, 1)[-1], 1)
-        field = interpolate(dofmap, linear)
-        a = error_L2(field, lambda x1, x2: x1 * x2)
-        b = error_L2(field, lambda x1, x2: x1 * x2, exactness=6)
-        assert a == pytest.approx(b, rel=1e-13)
 
     def test_p1_interpolation_error_of_quadratic_matches_theory(self):
         # u = x1^2 on one hypotenuse-refined family: the L2 interpolation
@@ -183,6 +178,19 @@ class TestSeminormHHalf:
         got = seminorm_H_half_boundary(field)
         want = seminorm_dense_oracle(*walk_trace(field))
         assert got == pytest.approx(want, rel=1e-2)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_quadrature_sum_matches_the_pairwise_loop(self, degree, level):
+        # level 0 has 8 panels, so the offsets stop at n/2 = 4; random
+        # coefficients on a non-square rectangle make every pair differ
+        dofmap = DofMap(mesh_hierarchy((0.1, 1.3, 0.2, 0.9), level)[-1],
+                        degree)
+        coeffs = np.random.default_rng(level).standard_normal(
+            dofmap.num_dofs)
+        field = FemField(dofmap, coeffs)
+        assert seminorm_H_half_boundary(field) == pytest.approx(
+            seminorm_pairwise(field), rel=1e-12)
 
     def test_quadratic_trace_space_matches_linear_for_linear_data(self):
         # a linear function has the same trace whether the field lives in

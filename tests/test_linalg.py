@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.io import mmread
-from scipy.sparse.linalg import SuperLU
 
 import dbcfem.linalg as linalg
 from dbcfem.assembly import BlockSystem, DofMap, build_block_system
@@ -34,7 +33,8 @@ def toy_system():
         F=np.array([1.0]),
         G=np.array([3.0, 4.0]),
         interior=np.array([0]),
-        boundary=np.array([1]))
+        boundary=np.array([1]),
+        coords=np.array([[0.5, 0.5], [0.0, 0.0]]))
 
 
 def example_system(level=2, gamma=1.0, degree=1):
@@ -77,7 +77,8 @@ class TestSolveBlock:
                              F=np.zeros_like(system.F),
                              G=np.zeros_like(system.G),
                              interior=system.interior,
-                             boundary=system.boundary)
+                             boundary=system.boundary,
+                             coords=system.coords)
         Y, Z = solve_block(system)
         assert np.abs(Y).max() == 0.0
         assert np.abs(Z).max() == 0.0
@@ -195,7 +196,7 @@ class TestSolveBlock:
         bad = BlockSystem(A=system.A, B=system.B, C=system.C,
                           F=np.array([1.0, 2.0]),  # wrong length
                           G=system.G, interior=system.interior,
-                          boundary=system.boundary)
+                          boundary=system.boundary, coords=system.coords)
         with pytest.raises(ValueError):
             solve_block(bad)
 
@@ -215,11 +216,16 @@ class TestSolveBlock:
             F=system.F[perm_i],
             G=system.G[perm_n],
             interior=inv_n[system.interior[perm_i]],
-            boundary=inv_n[system.boundary])
+            boundary=inv_n[system.boundary],
+            coords=system.coords[perm_n])
 
         Y, Z = solve_block(system)
         for method in ("direct-lu", "reduced-pcg"):
-            Yp, Zp = solve_block(permuted, SolverConfig(method=method))
+            stats = {}
+            Yp, Zp = solve_block(permuted, SolverConfig(method=method),
+                                 stats=stats)
+            assert stats.get("interior") == (None if method == "direct-lu"
+                                             else "dst")
             assert np.abs(Yp - Y[perm_n]).max() <= 1e-10 * np.abs(Y).max()
             assert np.abs(Zp - Z[perm_i]).max() <= 1e-10 * np.abs(Y).max()
 
@@ -340,21 +346,6 @@ class TestInteriorSolver:
         solve_block(system, stats=stats)
         assert stats["interior"] == "splu"
 
-    def test_system_without_coordinates_takes_splu(self):
-        system = example_system(level=3)
-        stats = {}
-        solve_block(system, stats=stats)
-        assert stats["interior"] == "dst"
-        bare = BlockSystem(A=system.A, B=system.B, C=system.C, F=system.F,
-                           G=system.G, interior=system.interior,
-                           boundary=system.boundary)
-        stats = {}
-        solve_block(bare, stats=stats)
-        assert stats["interior"] == "splu"
-        stats = {}
-        solve_block(system, SolverConfig(method="direct-lu"), stats=stats)
-        assert "interior" not in stats
-
     @pytest.mark.parametrize("xy", [
         [[0, 0], [0, 1], [1, 0]],                      # a point missing
         [[0, 0], [0, 1], [1, 0], [1, 1], [1, 1]],      # a point twice
@@ -471,12 +462,6 @@ class TestDissectionOrder:
         K, xy = p2_block(RECTANGLES[0], 5)
         nd = _interior_solver(K, xy).nnz
         assert nd < 0.6 * linalg._factor(K, "test").nnz
-
-    def test_without_coordinates_colamd_is_kept(self):
-        K, _ = p2_block(RECTANGLES[0], 3)
-        lu = _interior_solver(K, None)
-        assert isinstance(lu, SuperLU)
-        assert lu.nnz == linalg._factor(K, "test").nnz
 
 
 def test_import_does_not_load_scipy_fft():

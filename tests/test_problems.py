@@ -141,6 +141,9 @@ class TestValidation:
         ({"solver_tolerance": 1.5}, "tolerance"),
         ({"f": "x1 +"}, "bad expression for f"),
         ({"y_d": "x9"}, "bad expression for y_d"),
+        # s is a constant of example2 only; elsewhere it must be declared
+        ({"y_d": "s*x1"}, "bad expression for y_d: unknown identifier 's'"),
+        ({"solver_tolerance": "1e-12"}, "bad solver settings"),
     ])
     def test_bad_field_rejected(self, tmp_path, patch, match):
         payload = dict(MINIMAL, **patch)
@@ -175,6 +178,15 @@ class TestValidation:
         payload["exact"] = {"y": "x1"}
         with pytest.raises(ConfigError, match="needs exact\\['z'\\]"):
             load_config(write_config(tmp_path, payload))
+
+    def test_columns_set_outside_json_are_normalized(self):
+        spec = load_config("example1")
+        assert dataclasses.replace(spec, columns=("l2_y",)).columns == (
+            ("l2_y", True),)
+        with pytest.raises(ConfigError, match="unknown norm key 'h1'"):
+            dataclasses.replace(spec, columns=("h1",))
+        with pytest.raises(ConfigError, match="column entries"):
+            dataclasses.replace(spec, columns=(("l2_y", True, False),))
 
     def test_gradient_entries_need_two_components(self, tmp_path):
         payload = dict(MINIMAL, columns=["h1_y"])
