@@ -20,8 +20,8 @@ from .assembly import (BlockSystem, DofMap, assemble_boundary_mass,
 from .elements import ReferenceBasis, segment_quadrature, triangle_quadrature
 from .expr import EvalError, ParseError
 from .linalg import SolverConfig, SolverError, residual, solve_block
-from .mesh import (TriMesh, check_mesh, export_vtk, make_initial_mesh,
-                   mesh_hierarchy, prolong_linear, refine_uniform)
+from .mesh import (TriMesh, export_vtk, make_initial_mesh, mesh_hierarchy,
+                   prolong_linear, refine_uniform)
 from .problems import (ConfigError, ProblemSpec, config_hash, load_config,
                        run_convergence, solve_level)
 
@@ -31,7 +31,7 @@ __all__ = [
     "SolverError", "TriMesh", "assemble_boundary_mass", "assemble_load",
     "assemble_mass", "assemble_stiffness", "boundary_L2_projection",
     "boundary_walk_dofs",
-    "build_block_system", "check_mesh", "compute_eoc", "config_hash",
+    "build_block_system", "compute_eoc", "config_hash",
     "error_H1_semi", "error_L2", "error_L2_boundary", "export_vtk",
     "interpolate", "load_config", "make_initial_mesh", "mesh_hierarchy",
     "prolong_linear", "refine_uniform", "residual", "run_convergence",

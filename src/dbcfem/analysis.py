@@ -27,13 +27,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.sparse.linalg import spsolve
 
 from .assembly import (DofMap, _boundary_geometry, _cell_quadrature,
                        _edge_points, _edge_quadrature, _physical_gradients,
                        _sample, _trace_values)
-from .elements import ReferenceBasis
+from .elements import ReferenceBasis, segment_quadrature
 
 
 @dataclass
@@ -90,14 +89,16 @@ def error_L2_boundary(field, exact):
 
 
 def _gauss01(n):
-    x, w = leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """Points and weights of the n-point Gauss rule on [0, 1]."""
+    rule = segment_quadrature(2 * n - 1)
+    return rule.points, rule.weights
 
 
-def _graded_points(levels=4, per_cell=4):
-    # geometric subdivision of [0,1] toward 0: [0,2^-l], then doubling
-    breaks = [0.0] + [2.0 ** (k - levels) for k in range(levels + 1)][1:]
-    x, w = _gauss01(per_cell)
+def _graded_points():
+    # geometric subdivision of [0,1] toward 0 in 4 cells, [0, 1/8]
+    # and then doubling, with 4 Gauss points per cell
+    breaks = [0.0] + [2.0 ** (k - 4) for k in range(1, 5)]
+    x, w = _gauss01(4)
     pts, wts = [], []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         pts.append(lo + (hi - lo) * x)
@@ -197,10 +198,6 @@ class ConvergenceReport:
     pairs in table order.
     """
 
-    problem: str
-    gamma: float
-    degree: int
-    levels: tuple
     h: tuple
     errors: dict
     eoc: dict
@@ -213,7 +210,7 @@ class ConvergenceReport:
             if with_order:
                 header.append("order_" + key)
         lines = [",".join(header)]
-        for i in range(len(self.levels)):
+        for i in range(len(self.h)):
             row = ["%.6g" % self.h[i]]
             for key, with_order in self.columns:
                 row.append("%.6g" % self.errors[key][i])

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .elements import ReferenceBasis, segment_quadrature, triangle_quadrature
-from .mesh import edge_lookup, edge_numbering
+from .mesh import midpoint_nodes
 
 
 class DofMap:
@@ -59,19 +59,13 @@ class DofMap:
             self.coords = mesh.vertices
             bset = np.unique(mesh.boundary_edges)
         else:
-            # edge dofs follow the edge numbering that refine_uniform
-            # gives the next level's new vertices
-            edges, cell_edges = edge_numbering(tri)
-            edofs = np.column_stack([
-                mesh.boundary_edges,
-                nv + edge_lookup(edges, mesh.boundary_edges)])
-
-            self.num_dofs = nv + len(edges)
-            self.cell_dofs = np.hstack([tri, nv + cell_edges])
-            self.edge_dofs = edofs
-            mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-            self.coords = np.vstack([mesh.vertices, mids])
-            bset = np.unique(edofs)
+            nodes, cell_mids, boundary_mids, _ = midpoint_nodes(mesh)
+            self.num_dofs = len(nodes)
+            self.cell_dofs = np.hstack([tri, cell_mids])
+            self.edge_dofs = np.column_stack([mesh.boundary_edges,
+                                              boundary_mids])
+            self.coords = nodes
+            bset = np.unique(self.edge_dofs)
 
         self.boundary = np.sort(bset).astype(np.int64)
         mask = np.ones(self.num_dofs, dtype=bool)

@@ -30,12 +30,14 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.io import mmwrite
 
 from .analysis import (boundary_walk_dofs, verify_boundary_bubble_estimate,
                        verify_discrete_stability, verify_L2_controlled_by_H1)
 from .assembly import DofMap, build_block_system
 from .expr import EvalError, ParseError
-from .linalg import SolverError, save_matrix_market
+from .linalg import SolverError
 from .mesh import export_vtk, mesh_hierarchy
 from .problems import (NORMS, ConfigError, _errors_exact, _matrix_norms,
                        config_hash, load_config, run_convergence,
@@ -99,10 +101,9 @@ def cmd_solve(args):
     if args.dump_matrix:  # operators are cached: only the loads rebuild
         system = build_block_system(dofmap, spec.gamma, spec.field(spec.f),
                                     spec.field(spec.y_d))
-        save_matrix_market(os.path.join(args.out, "system.mtx"),
-                           system.full())
-        save_matrix_market(os.path.join(args.out, "rhs.mtx"),
-                           system.rhs().reshape(-1, 1))
+        mmwrite(os.path.join(args.out, "system.mtx"), system.full())
+        mmwrite(os.path.join(args.out, "rhs.mtx"),
+                sp.coo_matrix(system.rhs().reshape(-1, 1)))
 
     norms = _matrix_norms(dofmap, sol.y.coeffs, sol.z.coeffs,
                           ("l2_y", "l2_z", "l2_u"))

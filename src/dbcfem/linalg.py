@@ -1,9 +1,9 @@
-"""Solvers for the coupled block system and a Matrix Market writer.
+"""The solver for the coupled block system.
 
 The coupled matrix [[A, 0], [B, C]] is nonsymmetric but uniquely
-solvable for any gamma > 0.  The default, reduced-pcg, uses that the
-control is the trace of the state: with K_II the interior stiffness
-block (SPD), the first block row gives Y = Y0 + E Y_B with
+solvable for any gamma > 0.  The solver uses that the control is the
+trace of the state and never forms that matrix: with K_II the interior
+stiffness block (SPD), the first block row gives Y = Y0 + E Y_B with
 Y0 = [K_II^-1 F; 0] and the discrete harmonic extension
 E = [-K_II^-1 K_IB; I].  Testing the second row with E cancels Z and
 leaves one system for Y_B alone,
@@ -16,9 +16,7 @@ rows, K_II Z = G_I - (B Y)_I.  When K_II is the 5-point Laplacian of a
 uniform grid (P1 on the rectangle meshes), type-I sine transforms
 diagonalize it.  Any other K_II is factored with splu in a
 nested-dissection order built from the node coordinates, with each
-separator read off K_II's sparsity pattern.  direct-lu factors the
-whole coupled matrix and is the small-N reference; it is the only
-solver that forms that matrix.
+separator read off K_II's sparsity pattern.
 """
 
 import logging
@@ -26,10 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmwrite
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-METHODS = ("reduced-pcg", "direct-lu")
 _MAX_CG_ITERATIONS = 200
 _DISSECTION_LEAF = 16            # parts this small are not split further
 
@@ -40,13 +36,9 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "reduced-pcg"
     tolerance: float = 1e-12
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError("unknown solver method %r (expected one of %s)"
-                             % (self.method, ", ".join(METHODS)))
         if not 0.0 < self.tolerance < 1.0:
             raise ValueError("tolerance must lie in (0, 1), got %r"
                              % (self.tolerance,))
@@ -301,14 +293,13 @@ def solve_block(system, config=None, stats=None):
     """Solve the coupled system; returns (Y, Z).
 
     Keyword arguments:
-        config -- SolverConfig; default is reduced-pcg with a 1e-12
-                  relative residual tolerance
+        config -- SolverConfig; default is a 1e-12 relative residual
+                  tolerance
         stats  -- dict that receives the solve record, which
                   LevelSolution.stats and the run records carry whole:
                   "iterations": the CG count of the first solve and of
-                  each refinement sweep (direct-lu: []), "interior":
-                  the K_II solver, "dst" or "splu" (absent for
-                  direct-lu), "fill": the entries SuperLU stores for
+                  each refinement sweep, "interior": the K_II solver,
+                  "dst" or "splu", "fill": the entries SuperLU stores for
                   the L and U factors of K_II (only with "splu"),
                   "residual": the relative residual of the gate, and
                   "galerkin" and "adjoint": its state-row block over
@@ -328,11 +319,8 @@ def solve_block(system, config=None, stats=None):
     b = system.rhs()
     stats = {} if stats is None else stats
     stats.setdefault("iterations", [])
-    if config.method == "direct-lu":
-        apply_inverse = _factor(system.full(), "coupled system").solve
-    else:
-        apply_inverse = _reduced_solver(  # atol: where _refine stops
-            system, 0.25 * config.tolerance * np.linalg.norm(b), stats)
+    apply_inverse = _reduced_solver(  # atol: where _refine stops
+        system, 0.25 * config.tolerance * np.linalg.norm(b), stats)
     x, r = _refine(system, apply_inverse(b), apply_inverse, config.tolerance)
     ni = len(system.F)
     stats["galerkin"] = _norm_ratio(r[:ni], system.F)
@@ -351,8 +339,3 @@ def residual(system, Y, Z):
     """Relative residual of the full coupled system at (Y, Z)."""
     return _norm_ratio(_residual_vector(system, np.concatenate([Y, Z])),
                        system.rhs())
-
-
-def save_matrix_market(path, matrix):
-    """Dump a sparse matrix in Matrix Market coordinate format."""
-    mmwrite(str(path), sp.coo_matrix(matrix))

@@ -147,6 +147,24 @@ def edge_lookup(edges, pairs):
     return ids
 
 
+def midpoint_nodes(mesh):
+    """The mesh vertices followed by one node at the midpoint of every
+    edge, in edge_numbering order: the vertices of the next refinement
+    level, and the nodes of the P2 dofs.
+
+    Return: (nodes, cell_mids, boundary_mids, edges) -- nodes is
+    (nv + ne, 2); cell_mids is (nt, 3), the node ids of the midpoints
+    of each triangle's edges v0v1, v1v2 and v2v0; boundary_mids is
+    (nbe,), those of the boundary walk edges; edges is as returned by
+    edge_numbering.
+    """
+    nv = mesh.num_vertices
+    edges, cell_edges = edge_numbering(mesh.triangles)
+    mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+    return (np.vstack([mesh.vertices, mids]), nv + cell_edges,
+            nv + edge_lookup(edges, mesh.boundary_edges), edges)
+
+
 def refine_uniform(mesh):
     """Split every triangle into 4 congruent children by edge midpoints.
 
@@ -160,12 +178,7 @@ def refine_uniform(mesh):
     the midpoint-triangle split.
     """
     tri = mesh.triangles
-    nv = mesh.num_vertices
-    edges, cell_edges = edge_numbering(tri)
-    mids = nv + cell_edges               # midpoints of v0v1, v1v2, v2v0
-
-    midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-    vertices = np.vstack([mesh.vertices, midpoints])
+    vertices, mids, m, edges = midpoint_nodes(mesh)
 
     # rotate each (ccw) triangle so the longest edge comes first, as
     # (vi, vj, vk); ties cannot occur for the right triangles this
@@ -181,13 +194,12 @@ def refine_uniform(mesh):
 
     # each boundary edge (u, v) becomes (u, m), (m, v) in walk order
     u, v = mesh.boundary_edges.T
-    m = nv + edge_lookup(edges, mesh.boundary_edges)
     bnd = np.stack([u, m, m, v], axis=1).reshape(-1, 2)
 
     return TriMesh(vertices, children, bnd,
                    level=mesh.level + 1,
                    h_max=_h_max(vertices, children),
-                   coarse_vertex_count=nv,
+                   coarse_vertex_count=mesh.num_vertices,
                    midpoint_of=edges)
 
 
@@ -211,40 +223,6 @@ def prolong_linear(coeffs, fine_mesh):
     out[nc:] = 0.5 * (coeffs[fine_mesh.midpoint_of[:, 0]]
                       + coeffs[fine_mesh.midpoint_of[:, 1]])
     return out
-
-
-def signed_areas(mesh):
-    p = mesh.vertices[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-
-def check_mesh(mesh):
-    """Verify the TriMesh invariants; raises AssertionError on violation.
-
-    Checks positive triangle orientation, the edge-manifold property
-    (each edge in 1 or 2 triangles), and that the boundary walk is
-    exactly the set of single-triangle edges.
-    """
-    assert (signed_areas(mesh) > 0).all(), "negatively oriented triangle"
-
-    edges, cell_edges = edge_numbering(mesh.triangles)
-    counts = np.bincount(cell_edges.ravel(), minlength=len(edges))
-    assert counts.max() <= 2, "edge shared by more than two triangles"
-
-    differs = "boundary walk differs from single-count edges"
-    try:
-        walk = edge_lookup(edges, mesh.boundary_edges)
-    except KeyError:
-        raise AssertionError(differs) from None
-    single = np.flatnonzero(counts == 1)
-    assert (counts[walk] == 1).all() and np.isin(single, walk).all(), differs
-    assert len(walk) == len(single), "duplicate boundary edge"
-    # closed walk: consecutive edges chain head to tail
-    heads = mesh.boundary_edges[:, 0]
-    tails = np.roll(mesh.boundary_edges[:, 1], 1)
-    assert (heads == tails).all(), "boundary walk is not a closed loop"
 
 
 def export_vtk(mesh, fields=(), names=None):

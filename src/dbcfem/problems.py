@@ -70,7 +70,9 @@ class ProblemSpec:
 
     Direct construction and dataclasses.replace are normalized and
     checked here just as JSON input is: a column is a norm key or a
-    (key, with_order) pair, and a *_grad entry of exact is a pair.
+    (key, with_order) pair, a *_grad entry of exact is a pair, constants
+    are floats and expressions are strings.  A value that does not
+    convert is a ConfigError that names its key.
     """
 
     name: str
@@ -84,19 +86,28 @@ class ProblemSpec:
     constants: dict = None
     exact: dict = None
     reference_level: int = None
-    solver_method: str = "reduced-pcg"
     solver_tolerance: float = 1e-12
 
     def __post_init__(self):
-        fix = lambda k, v: object.__setattr__(self, k, v)
-        fix("domain", tuple(float(v) for v in self.domain))
-        fix("gamma", float(self.gamma))
-        fix("levels", tuple(int(v) for v in self.levels))
-        fix("columns", tuple(map(_column, self.columns)))
-        fix("constants", dict(self.constants or {}))
+        def fix(key, convert):
+            try:
+                value = convert(getattr(self, key))
+            except (TypeError, ValueError, AttributeError) as err:
+                raise ConfigError("bad value for %s: %s"
+                                  % (key, err)) from None
+            object.__setattr__(self, key, value)
+
+        fix("domain", lambda v: tuple(map(float, v)))
+        fix("gamma", float)
+        fix("levels", lambda v: tuple(map(int, v)))
+        fix("columns", lambda v: tuple(map(_column, v)))
+        fix("constants", lambda v: {k: float(c)
+                                    for k, c in dict(v or {}).items()})
         if self.exact is not None:
-            fix("exact", {k: tuple(v) if k.endswith("_grad") else v
-                          for k, v in self.exact.items()})
+            fix("exact", lambda v: {k: tuple(e) if k.endswith("_grad") else e
+                                    for k, e in v.items()})
+        if self.reference_level is not None:
+            fix("reference_level", int)
 
         if len(self.domain) != 4:
             raise ConfigError("domain must be (x_min, x_max, y_min, y_max)")
@@ -118,7 +129,7 @@ class ProblemSpec:
                 raise ConfigError("unknown norm key '%s' (choose from %s)"
                                   % (key, ", ".join(NORM_KEYS)))
         try:
-            SolverConfig(self.solver_method, self.solver_tolerance)
+            SolverConfig(self.solver_tolerance)
         except (TypeError, ValueError) as err:
             raise ConfigError("bad solver settings: %s" % err) from None
         for cname in self.constants:
@@ -130,13 +141,12 @@ class ProblemSpec:
             if self.reference_level is None:
                 raise ConfigError("need either exact solutions or a "
                                   "reference_level to measure errors")
-            if int(self.reference_level) <= max(self.levels):
+            if self.reference_level <= max(self.levels):
                 raise ConfigError("reference_level must exceed every study "
                                   "level")
             if self.degree != 1:
                 raise ConfigError("reference-based errors are implemented "
                                   "for degree 1 only")
-            fix("reference_level", int(self.reference_level))
         else:
             for key, _ in self.columns:
                 if NORMS[key][1] not in self.exact:
@@ -153,6 +163,9 @@ class ProblemSpec:
             else:
                 sources.append((key, value))
         for label, source in sources:
+            if not isinstance(source, str):
+                raise ConfigError("bad expression for %s: %r is not a string"
+                                  % (label, source))
             try:
                 self.field(source)
             except expr.ParseError as err:
@@ -287,7 +300,7 @@ def solve_level(spec, level, dofmap=None, solver_config=None):
     Keyword arguments:
         dofmap -- reuse a prebuilt DofMap (and its operators) of the
                   right level and degree
-        solver_config -- override the spec's solver choice
+        solver_config -- override the spec's solver tolerance
     """
     if level < 0:
         raise ConfigError("refinement level must be nonnegative, got %d"
@@ -297,8 +310,7 @@ def solve_level(spec, level, dofmap=None, solver_config=None):
     system = build_block_system(dofmap, spec.gamma, spec.field(spec.f),
                                 spec.field(spec.y_d))
     if solver_config is None:
-        solver_config = SolverConfig(method=spec.solver_method,
-                                     tolerance=spec.solver_tolerance)
+        solver_config = SolverConfig(tolerance=spec.solver_tolerance)
     stats = {}
     Y, Z = solve_block(system, solver_config, stats=stats)
 
@@ -404,8 +416,7 @@ def run_convergence(spec):
             errors[key].append(level_errors[key])
 
     report = ConvergenceReport(
-        problem=spec.name, gamma=spec.gamma, degree=spec.degree,
-        levels=tuple(spec.levels), h=tuple(hs),
+        h=tuple(hs),
         errors={key: tuple(vals) for key, vals in errors.items()},
         eoc={key: compute_eoc(vals) for key, vals in errors.items()},
         columns=spec.columns)

@@ -1,16 +1,69 @@
 """Independent reference computations the tests compare against.
 
-Everything in here deliberately avoids the package's own assembly and
-quadrature code paths: local matrices come from exact rational
-integration of barycentric monomials, and the fractional boundary
+Everything in here deliberately avoids the package's own assembly,
+quadrature and solver code paths: local matrices come from exact
+rational integration of barycentric monomials, the fractional boundary
 seminorm comes from a brute-force panel-pair integration with much
-finer quadrature than the library uses.
+finer quadrature than the library uses, and the coupled system is
+solved by one sparse LU of the whole matrix.  The mesh invariant check
+lives here too, as only the tests call it.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse.linalg import splu
+
+from dbcfem.mesh import edge_lookup, edge_numbering
+
+# ---------------------------------------------------------------------------
+# the coupled system by one LU
+
+
+def coupled_lu_solve(system):
+    """(Y, Z) from one splu of the whole coupled matrix system.full()."""
+    x = splu(system.full().tocsc()).solve(system.rhs())
+    return x[:system.num_dofs], x[system.num_dofs:]
+
+
+# ---------------------------------------------------------------------------
+# mesh invariants
+
+
+def signed_areas(mesh):
+    p = mesh.vertices[mesh.triangles]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def check_mesh(mesh):
+    """Verify the TriMesh invariants; raises AssertionError on violation.
+
+    Checks positive triangle orientation, the edge-manifold property
+    (each edge in 1 or 2 triangles), and that the boundary walk is
+    exactly the set of single-triangle edges.
+    """
+    assert (signed_areas(mesh) > 0).all(), "negatively oriented triangle"
+
+    edges, cell_edges = edge_numbering(mesh.triangles)
+    counts = np.bincount(cell_edges.ravel(), minlength=len(edges))
+    assert counts.max() <= 2, "edge shared by more than two triangles"
+
+    differs = "boundary walk differs from single-count edges"
+    try:
+        walk = edge_lookup(edges, mesh.boundary_edges)
+    except KeyError:
+        raise AssertionError(differs) from None
+    single = np.flatnonzero(counts == 1)
+    assert (counts[walk] == 1).all() and np.isin(single, walk).all(), differs
+    assert len(walk) == len(single), "duplicate boundary edge"
+    # closed walk: consecutive edges chain head to tail
+    heads = mesh.boundary_edges[:, 0]
+    tails = np.roll(mesh.boundary_edges[:, 1], 1)
+    assert (heads == tails).all(), "boundary walk is not a closed loop"
+
 
 # ---------------------------------------------------------------------------
 # exact local element matrices

@@ -351,7 +351,6 @@ class TestBoundaryWalkDofs:
 class TestConvergenceReport:
     def test_csv_layout(self):
         report = ConvergenceReport(
-            problem="toy", gamma=1.0, degree=1, levels=(0, 1),
             h=(0.5, 0.25),
             errors={"l2_y": [0.4, 0.1], "l2_u": [0.3, 0.15]},
             eoc={"l2_y": [None, 2.0], "l2_u": [None, 1.0]},
@@ -365,7 +364,7 @@ class TestConvergenceReport:
 
     def test_csv_is_deterministic(self):
         report = ConvergenceReport(
-            problem="toy", gamma=1.0, degree=1, levels=(0,), h=(0.5,),
+            h=(0.5,),
             errors={"l2_y": [0.123456789]}, eoc={"l2_y": [None]},
             columns=(("l2_y", True),),
         )

@@ -14,7 +14,11 @@ from scipy.io import mmread
 
 import dbcfem.cli as cli
 import dbcfem.problems as problems
+from dbcfem.assembly import DofMap, build_block_system
 from dbcfem.cli import main
+from dbcfem.mesh import mesh_hierarchy
+
+from test_problems import WRONG_TYPES
 
 
 def write_config(tmp_path, payload, name="case.json"):
@@ -90,6 +94,12 @@ class TestSolve:
         # level 2: 81 vertices, 49 interior -> coupled system of 130 rows
         assert system.shape == (130, 130)
         assert rhs.shape == (130, 1)
+        spec = problems.load_config("example1")
+        want = build_block_system(
+            DofMap(mesh_hierarchy(spec.domain, 2)[-1], spec.degree),
+            spec.gamma, spec.field(spec.f), spec.field(spec.y_d))
+        assert np.abs(system - want.full().toarray()).max() <= 1e-15
+        assert np.abs(rhs.ravel() - want.rhs()).max() <= 1e-15
 
     def test_each_operator_assembled_once(self, tmp_path, assembly_calls):
         code = main(["solve", "--config", "example1", "--level", "2",
@@ -264,17 +274,6 @@ class TestExitCodes:
         assert code == 3
         assert "solver error:" in capsys.readouterr().err
 
-    def test_direct_lu_records_zero_iterations(self, tmp_path):
-        config = write_config(tmp_path, {"problem": "example1",
-                                         "levels": [0, 1],
-                                         "solver_method": "direct-lu"})
-        out = tmp_path / "table.csv"
-        assert main(["convergence", "--config", config, "--out",
-                     str(out)]) == 0
-        record = json.loads((tmp_path / "table.run.json").read_text())
-        assert [s["iterations"] for s in record["solves"]] == [[], []]
-        assert all("interior" not in s for s in record["solves"])
-
     def test_retired_solver_method_is_a_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, {
             "problem": "example1",
@@ -282,7 +281,14 @@ class TestExitCodes:
         code = main(["solve", "--config", config, "--level", "1",
                      "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "unknown solver method" in capsys.readouterr().err
+        assert "unknown config keys" in capsys.readouterr().err
+
+    def test_wrong_type_values_are_config_errors(self, tmp_path, capsys):
+        for patch, _ in WRONG_TYPES:
+            config = write_config(tmp_path, {"problem": "example1", **patch})
+            assert main(["verify", "--config", config]) == 2, patch
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, patch
 
     def test_expression_domain_error_is_a_config_error(self, tmp_path,
                                                        capsys):

@@ -10,14 +10,14 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.io import mmread
 
 import dbcfem.linalg as linalg
 from dbcfem.assembly import BlockSystem, DofMap, build_block_system
 from dbcfem.linalg import (SolverConfig, SolverError, _interior_solver,
-                           _SineSolver, _uniform_grid, residual,
-                           save_matrix_market, solve_block)
+                           _SineSolver, _uniform_grid, residual, solve_block)
 from dbcfem.mesh import make_initial_mesh, mesh_hierarchy, refine_uniform
+
+from oracles import coupled_lu_solve
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -49,15 +49,13 @@ def example_system(level=2, gamma=1.0, degree=1):
 
 class TestSolverConfig:
     def test_defaults(self):
-        cfg = SolverConfig()
-        assert cfg.method == "reduced-pcg"
-        assert cfg.tolerance == 1e-12
+        assert SolverConfig().tolerance == 1e-12
 
     @pytest.mark.parametrize("kwargs", [
-        {"method": "jacobi"},
         {"tolerance": 0.0},
         {"tolerance": 1.0},
         {"tolerance": -1e-3},
+        {"tolerance": float("nan")},
     ])
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -65,9 +63,8 @@ class TestSolverConfig:
 
 
 class TestSolveBlock:
-    @pytest.mark.parametrize("method", ["direct-lu", "reduced-pcg"])
-    def test_toy_system_solved_exactly(self, method):
-        Y, Z = solve_block(toy_system(), SolverConfig(method=method))
+    def test_toy_system_solved_exactly(self):
+        Y, Z = solve_block(toy_system())
         assert Y == pytest.approx([1.0, -1.0], abs=1e-14)
         assert Z == pytest.approx([2.0], abs=1e-14)
 
@@ -85,8 +82,8 @@ class TestSolveBlock:
 
     def test_methods_agree(self):
         system = example_system(level=3)
-        Y1, Z1 = solve_block(system, SolverConfig(method="direct-lu"))
-        Y2, Z2 = solve_block(system, SolverConfig(method="reduced-pcg"))
+        Y1, Z1 = coupled_lu_solve(system)
+        Y2, Z2 = solve_block(system)
         scale = np.abs(Y1).max()
         assert np.abs(Y1 - Y2).max() <= 1e-11 * scale
         assert np.abs(Z1 - Z2).max() <= 1e-11 * scale
@@ -98,8 +95,8 @@ class TestSolveBlock:
 
     def test_methods_agree_for_quadratic_elements(self):
         system = example_system(level=3, degree=2)
-        Y1, Z1 = solve_block(system, SolverConfig(method="direct-lu"))
-        Y2, Z2 = solve_block(system, SolverConfig(method="reduced-pcg"))
+        Y1, Z1 = coupled_lu_solve(system)
+        Y2, Z2 = solve_block(system)
         scale = np.abs(Y1).max()
         assert np.abs(Y1 - Y2).max() <= 1e-11 * scale
         assert np.abs(Z1 - Z2).max() <= 1e-11 * scale
@@ -107,29 +104,24 @@ class TestSolveBlock:
     def test_iteration_counts_reported(self):
         system = example_system(level=3)
         stats = {}
-        Y, Z = solve_block(system, SolverConfig(method="direct-lu"),
-                           stats=stats)
-        assert stats["iterations"] == []
+        Y, Z = solve_block(system, stats=stats)
         assert stats["residual"] == residual(system, Y, Z)
         assert stats["residual"] <= 1e-12
-        stats = {}
-        solve_block(system, stats=stats)
         assert len(stats["iterations"]) >= 1
         assert all(isinstance(k, int) for k in stats["iterations"])
         assert stats["iterations"][0] > 0
 
-    def test_only_direct_lu_forms_the_coupled_matrix(self, monkeypatch):
-        system = example_system(level=3)
-        Y, Z = solve_block(system, SolverConfig(method="direct-lu"))
+    def test_solve_block_never_forms_the_coupled_matrix(self, monkeypatch):
+        systems = [example_system(level=3, degree=d) for d in (1, 2)]
+        wanted = [coupled_lu_solve(system) for system in systems]
 
         def refuse(self):
             raise AssertionError("coupled matrix formed")
 
         monkeypatch.setattr(BlockSystem, "full", refuse)
-        Yr, Zr = solve_block(system)
-        assert np.abs(Yr - Y).max() <= 1e-11 * np.abs(Y).max()
-        with pytest.raises(AssertionError, match="coupled matrix formed"):
-            solve_block(system, SolverConfig(method="direct-lu"))
+        for system, (Y, _) in zip(systems, wanted):
+            Yr, _ = solve_block(system)
+            assert np.abs(Yr - Y).max() <= 1e-11 * np.abs(Y).max()
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_residual_matches_the_coupled_matrix(self, degree):
@@ -220,32 +212,12 @@ class TestSolveBlock:
             coords=system.coords[perm_n])
 
         Y, Z = solve_block(system)
-        for method in ("direct-lu", "reduced-pcg"):
-            stats = {}
-            Yp, Zp = solve_block(permuted, SolverConfig(method=method),
-                                 stats=stats)
-            assert stats.get("interior") == (None if method == "direct-lu"
-                                             else "dst")
+        stats = {}
+        for Yp, Zp in (coupled_lu_solve(permuted),
+                       solve_block(permuted, stats=stats)):
             assert np.abs(Yp - Y[perm_n]).max() <= 1e-10 * np.abs(Y).max()
             assert np.abs(Zp - Z[perm_i]).max() <= 1e-10 * np.abs(Y).max()
-
-
-class TestMatrixMarket:
-    def test_round_trip(self, tmp_path):
-        system = example_system(level=1)
-        path = tmp_path / "system.mtx"
-        save_matrix_market(path, system.full())
-        back = mmread(str(path)).tocsr()
-        assert back.shape == system.full().shape
-        assert np.abs(back - system.full()).max() <= 1e-15
-
-    def test_rhs_round_trip(self, tmp_path):
-        system = example_system(level=1)
-        path = tmp_path / "rhs.mtx"
-        save_matrix_market(path, system.rhs().reshape(-1, 1))
-        back = mmread(str(path)).tocsr()
-        assert np.abs(np.asarray(back.todense()).ravel()
-                      - system.rhs()).max() <= 1e-15
+        assert stats["interior"] == "dst"
 
 
 class TestReducedConditioning:

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbcfem.mesh import (TriMesh, check_mesh, edge_numbering, export_vtk,
+from dbcfem.mesh import (TriMesh, edge_numbering, export_vtk,
                          make_initial_mesh, mesh_hierarchy, prolong_linear,
-                         refine_uniform, signed_areas)
+                         refine_uniform)
+
+from oracles import check_mesh, signed_areas
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 QUARTER = (0.0, 0.25, 0.0, 0.25)

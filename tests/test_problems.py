@@ -31,6 +31,22 @@ MINIMAL = {
 }
 
 
+# config values of the wrong type or form, and the error, which names
+# the key
+WRONG_TYPES = [
+    ({"levels": [0, "x"]}, "bad value for levels"),
+    ({"levels": 5}, "bad value for levels"),
+    ({"columns": [3]}, "bad value for columns"),
+    ({"domain": "abc"}, "bad value for domain"),
+    ({"gamma": [1]}, "bad value for gamma"),
+    ({"constants": [1, 2]}, "bad value for constants"),
+    ({"exact": "abc"}, "bad value for exact"),
+    ({"f": 5}, "bad expression for f"),
+    ({"reference_level": "x"}, "bad value for reference_level"),
+    ({"constants": {"s": "abc"}}, "bad value for constants"),
+]
+
+
 def write_config(tmp_path, payload, name="case.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -136,7 +152,7 @@ class TestValidation:
         ({"domain": [0, 1, 1]}, "domain must be"),
         ({"columns": []}, "at least one"),
         ({"columns": ["l3_q"]}, "unknown norm key"),
-        ({"solver_method": "magic"}, "unknown solver method"),
+        ({"solver_method": "magic"}, "unknown config keys"),
         ({"solver_tolerance": 0.0}, "tolerance"),
         ({"solver_tolerance": 1.5}, "tolerance"),
         ({"f": "x1 +"}, "bad expression for f"),
@@ -144,6 +160,7 @@ class TestValidation:
         # s is a constant of example2 only; elsewhere it must be declared
         ({"y_d": "s*x1"}, "bad expression for y_d: unknown identifier 's'"),
         ({"solver_tolerance": "1e-12"}, "bad solver settings"),
+        *WRONG_TYPES,
     ])
     def test_bad_field_rejected(self, tmp_path, patch, match):
         payload = dict(MINIMAL, **patch)
