@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.io import mmread, mmwrite
 
 import dbcfem.linalg as linalg
 from dbcfem.assembly import BlockSystem, DofMap, build_block_system
@@ -218,6 +219,27 @@ class TestSolveBlock:
             assert np.abs(Yp - Y[perm_n]).max() <= 1e-10 * np.abs(Y).max()
             assert np.abs(Zp - Z[perm_i]).max() <= 1e-10 * np.abs(Y).max()
         assert stats["interior"] == "dst"
+
+
+class TestMatrixMarket:
+    """The coupled system and its right-hand side survive the Matrix
+    Market form that ``solve --dump-matrix`` writes them in."""
+
+    def test_round_trip(self, tmp_path):
+        system = example_system(level=1)
+        path = tmp_path / "system.mtx"
+        mmwrite(str(path), system.full())
+        back = mmread(str(path)).tocsr()
+        assert back.shape == system.full().shape
+        assert np.abs(back - system.full()).max() <= 1e-15
+
+    def test_rhs_round_trip(self, tmp_path):
+        system = example_system(level=1)
+        path = tmp_path / "rhs.mtx"
+        mmwrite(str(path), sp.coo_matrix(system.rhs().reshape(-1, 1)))
+        back = mmread(str(path)).tocsr()
+        assert np.abs(np.asarray(back.todense()).ravel()
+                      - system.rhs()).max() <= 1e-15
 
 
 class TestReducedConditioning:
