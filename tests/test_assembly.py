@@ -331,38 +331,48 @@ class TestPhysicalGradients:
 
 
 class TestBitwiseKernels:
-    """sha256 over the CSR arrays of the three operators, the load
-    vectors of example1's f and y_d, and the L2 and H1 errors of an
-    interpolant (which map the quadrature points the same way as the
-    load), recorded before the shared point map and the reference mass
-    matrix were introduced; any change in rounding changes a digest."""
+    """One sha256 per array over levels 0-5 of example1's domain: the
+    CSR arrays of each operator, the load vectors of example1's f and
+    y_d, and the L2 and H1 errors of an interpolant (which map the
+    quadrature points the same way as the load).  Any change in
+    rounding changes the digest of the array it touches, and only that
+    one."""
 
     DIGESTS = {
-        (1, 0): "3c70c4de12786527", (1, 1): "5d1574316c9860b1",
-        (1, 2): "62ac1320c5282e7c", (1, 3): "1cf457b9d1e2835a",
-        (1, 4): "14e0d250bbb3751c", (1, 5): "b93b7522145bf625",
-        (2, 0): "259c172a784ce0db", (2, 1): "5540f2c25a8030db",
-        (2, 2): "70be12a9c89ec14f", (2, 3): "552faaec3210fc38",
-        (2, 4): "40034046414296d6", (2, 5): "bedf681196154b48",
+        1: {"stiffness": "ec6fa0b876e32ec3", "mass": "4b90a9c17fa51736",
+            "boundary_mass": "546651f8624e6d18",
+            "load_f": "795de0f11163de99", "load_y_d": "992b26b7eed1bfb3",
+            "norms": "94d38616565a5928"},
+        2: {"stiffness": "06146ac245db28db", "mass": "184222e658e8307c",
+            "boundary_mass": "4ddeb36eef3e7392",
+            "load_f": "096c63a3a22972bd", "load_y_d": "1444b19e1480ec78",
+            "norms": "ba05eb9a6c2bb07e"},
     }
 
-    @pytest.mark.parametrize("degree", [1, 2])
-    def test_operators_loads_and_norms_are_bitwise_unchanged(self, degree):
+    @staticmethod
+    def digests(degree):
         spec = load_config("example1")
-        loads = (spec.field(spec.f), spec.field(spec.y_d))
+        f, y_d = spec.field(spec.f), spec.field(spec.y_d)
         y = spec.field(spec.exact["y"])
         g1, g2 = (spec.field(s) for s in spec.exact["y_grad"])
-        meshes = mesh_hierarchy(spec.domain, 5)
-        for level, mesh in enumerate(meshes):
+        hashes = {}
+        for mesh in mesh_hierarchy(spec.domain, 5):
             dofmap = DofMap(mesh, degree)
-            h = hashlib.sha256()
-            for m in (dofmap.stiffness, dofmap.mass, dofmap.boundary_mass):
-                for part in (m.data, m.indices, m.indptr):
-                    h.update(np.ascontiguousarray(part).tobytes())
-            for g in loads:
-                h.update(assemble_load(dofmap, g).tobytes())
             u = interpolate(dofmap, lambda a, b: np.sin(3 * a) * np.cos(2 * b))
             errors = (error_L2(u, y),
                       error_H1_semi(u, lambda a, b: (g1(a, b), g2(a, b))))
-            h.update(np.array(errors).tobytes())
-            assert h.hexdigest()[:16] == self.DIGESTS[degree, level], level
+            arrays = {"load_f": [assemble_load(dofmap, f)],
+                      "load_y_d": [assemble_load(dofmap, y_d)],
+                      "norms": [np.array(errors)]}
+            for name in ("stiffness", "mass", "boundary_mass"):
+                m = getattr(dofmap, name)
+                arrays[name] = [m.data, m.indices, m.indptr]
+            for name, parts in arrays.items():
+                h = hashes.setdefault(name, hashlib.sha256())
+                for part in parts:
+                    h.update(np.ascontiguousarray(part).tobytes())
+        return {name: h.hexdigest()[:16] for name, h in hashes.items()}
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_operators_loads_and_norms_are_bitwise_unchanged(self, degree):
+        assert self.digests(degree) == self.DIGESTS[degree]
