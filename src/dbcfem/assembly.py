@@ -87,16 +87,16 @@ class DofMap:
 
 def _cell_geometry(mesh):
     """Per triangle: origin, Jacobian, determinant, inverse transpose."""
-    p = mesh.vertices[mesh.triangles]          # (nt, 3, 2)
-    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    tri = mesh.triangles
+    x, y = mesh.vertices[:, 0][tri], mesh.vertices[:, 1][tri]  # (nt, 3)
+    jac = np.stack([x[:, 1:] - x[:, :1], y[:, 1:] - y[:, :1]], axis=1)
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
     inv_t = np.empty_like(jac)
-    inv_t[:, 0, 0] = jac[:, 1, 1]
-    inv_t[:, 0, 1] = -jac[:, 1, 0]
-    inv_t[:, 1, 0] = -jac[:, 0, 1]
-    inv_t[:, 1, 1] = jac[:, 0, 0]
-    inv_t /= det[:, None, None]
-    return p[:, 0], jac, det, inv_t
+    np.divide(jac[:, 1, 1], det, out=inv_t[:, 0, 0])
+    np.divide(-jac[:, 1, 0], det, out=inv_t[:, 0, 1])
+    np.divide(-jac[:, 0, 1], det, out=inv_t[:, 1, 0])
+    np.divide(jac[:, 0, 0], det, out=inv_t[:, 1, 1])
+    return np.column_stack([x[:, 0], y[:, 0]]), jac, det, inv_t
 
 
 def _cell_quadrature(dofmap, exactness=None):
@@ -174,14 +174,24 @@ def _scatter(dofs, local, n):
     return m
 
 
+def _metric(mesh):
+    """det J^-1 J^-T = adj(J) adj(J)^T / det per cell, as (nt, 4) rows.
+    The geometry is freed on return, before the scatter sets the peak."""
+    _, jac, det, _ = _cell_geometry(mesh)
+    a, b, c, d = jac.reshape(-1, 4).T
+    off = -(a * b + c * d)
+    rows = np.column_stack([b * b + d * d, off, off, a * a + c * c])
+    return rows / det[:, None]
+
+
 def assemble_stiffness(dofmap):
-    """N x N matrix with entries (grad phi_j, grad phi_i) over the domain."""
+    """N x N matrix with entries (grad phi_j, grad phi_i) over the domain:
+    local matrices _metric @ R, with R_abnm = sum_q w_q d_a phi_n d_b phi_m
+    on the reference cell (Kirby & Logg, ACM TOMS 32, 2006)."""
     rule = triangle_quadrature(2 * dofmap.degree)
     grads = ReferenceBasis(dofmap.degree).gradients(rule.points)
-    _, _, det, inv_t = _cell_geometry(dofmap.mesh)
-    phys = _physical_gradients(inv_t, grads)
-    local = np.einsum("q,t,tnqa,tmqa->tnm", rule.weights, det, phys, phys)
-    del phys  # not held through the scatter, which sets the peak memory
+    ref = np.einsum("q,nqa,mqb->abnm", rule.weights, grads, grads)
+    local = _metric(dofmap.mesh) @ ref.reshape(4, -1)
     return _scatter(dofmap.cell_dofs, local, dofmap.num_dofs)
 
 
@@ -216,15 +226,15 @@ def assemble_load(dofmap, g):
     """Vector with entries (g, phi_i); g is a callable of (x1, x2) arrays.
 
     The quadrature exactness is 2k+2 so that, for instance, a
-    quadratic g against a linear basis is integrated exactly.
+    quadratic g against a linear basis is integrated exactly.  Each
+    cell's entries are det * (g at its points) @ (w * phi)^T.
     """
     rule, det, _, pts = _cell_quadrature(dofmap)
-    vals = ReferenceBasis(dofmap.degree).values(rule.points)
-    contrib = np.einsum("q,t,tq,nq->tn", rule.weights, det, _sample(g, pts),
-                        vals)
-    out = np.zeros(dofmap.num_dofs)
-    np.add.at(out, dofmap.cell_dofs.ravel(), contrib.ravel())
-    return out
+    weighted = ReferenceBasis(dofmap.degree).values(rule.points) * rule.weights
+    contrib = _sample(g, pts) @ weighted.T
+    contrib *= det[:, None]
+    return np.bincount(dofmap.cell_dofs.ravel(), contrib.ravel(),
+                       minlength=dofmap.num_dofs)
 
 
 @dataclass

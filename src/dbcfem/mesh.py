@@ -70,9 +70,12 @@ class TriMesh:
 
 
 def _edge_lengths_sq(vertices, triangles):
-    p = vertices[triangles]  # (nt, 3, 2)
-    d = p - np.roll(p, -1, axis=1)
-    return np.einsum("tij,tij->ti", d, d)
+    """Squared lengths of the edges v0v1, v1v2, v2v0 of each triangle."""
+    x, y = vertices[:, 0][triangles], vertices[:, 1][triangles]
+    out = np.empty(x.shape)
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        out[:, i] = (x[:, i] - x[:, j]) ** 2 + (y[:, i] - y[:, j]) ** 2
+    return out
 
 
 def _h_max(vertices, triangles):
@@ -248,11 +251,10 @@ def export_vtk(mesh, fields=(), names=None):
         "DATASET UNSTRUCTURED_GRID",
         "POINTS %d double" % nv,
     ]
-    for x, y in mesh.vertices:
-        lines.append("%.17g %.17g 0" % (x, y))
+    # tolist() formats Python scalars, several times faster than numpy's
+    lines.extend("%.17g %.17g 0" % (x, y) for x, y in mesh.vertices.tolist())
     lines.append("CELLS %d %d" % (nt, 4 * nt))
-    for a, b, c in mesh.triangles:
-        lines.append("3 %d %d %d" % (a, b, c))
+    lines.extend("3 %d %d %d" % (a, b, c) for a, b, c in mesh.triangles.tolist())
     lines.append("CELL_TYPES %d" % nt)
     lines.extend(["5"] * nt)
 
@@ -265,6 +267,6 @@ def export_vtk(mesh, fields=(), names=None):
                     % (name, f.dofmap.mesh.num_vertices, nv))
             lines.append("SCALARS %s double 1" % name)
             lines.append("LOOKUP_TABLE default")
-            for v in f.coeffs[:nv]:  # vertex dofs come first for every degree
-                lines.append("%.17g" % v)
+            # vertex dofs come first for every degree
+            lines.extend("%.17g" % v for v in f.coeffs[:nv].tolist())
     return ("\n".join(lines) + "\n").encode("ascii")

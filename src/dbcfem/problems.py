@@ -64,6 +64,29 @@ def _column(entry):
     return str(entry[0]), bool(entry[1])
 
 
+def _real(v):
+    """float(v), refusing the bools that float() would take."""
+    if isinstance(v, (bool, np.bool_)):
+        raise TypeError("expected a number, got %r" % (v,))
+    return float(v)
+
+
+def _integer(v):
+    """int(v) of an integral number; int() would truncate 1.5 or take True."""
+    if isinstance(v, (bool, np.bool_)) or int(v) != v:
+        raise ValueError("expected an integer, got %r" % (v,))
+    return int(v)
+
+
+def _items(convert):
+    """tuple(map(convert, v)) of a sequence v that is not a string."""
+    def run(v):
+        if isinstance(v, str):
+            raise TypeError("expected a list, got the string %r" % (v,))
+        return tuple(map(convert, v))
+    return run
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Validated problem setup; construct via load_config for JSON input.
@@ -92,22 +115,24 @@ class ProblemSpec:
         def fix(key, convert):
             try:
                 value = convert(getattr(self, key))
-            except (TypeError, ValueError, AttributeError) as err:
+            except (TypeError, ValueError, OverflowError,
+                    AttributeError) as err:
                 raise ConfigError("bad value for %s: %s"
                                   % (key, err)) from None
             object.__setattr__(self, key, value)
 
-        fix("domain", lambda v: tuple(map(float, v)))
-        fix("gamma", float)
-        fix("levels", lambda v: tuple(map(int, v)))
-        fix("columns", lambda v: tuple(map(_column, v)))
-        fix("constants", lambda v: {k: float(c)
+        fix("domain", _items(_real))
+        fix("gamma", _real)
+        fix("degree", _integer)
+        fix("levels", _items(_integer))
+        fix("columns", _items(_column))
+        fix("constants", lambda v: {k: _real(c)
                                     for k, c in dict(v or {}).items()})
         if self.exact is not None:
             fix("exact", lambda v: {k: tuple(e) if k.endswith("_grad") else e
                                     for k, e in v.items()})
         if self.reference_level is not None:
-            fix("reference_level", int)
+            fix("reference_level", _integer)
 
         if len(self.domain) != 4:
             raise ConfigError("domain must be (x_min, x_max, y_min, y_max)")

@@ -6,15 +6,18 @@ rational integration of barycentric monomials, the fractional boundary
 seminorm comes from a brute-force panel-pair integration with much
 finer quadrature than the library uses, and the coupled system is
 solved by one sparse LU of the whole matrix.  The mesh invariant check
-lives here too, as only the tests call it.
+lives here too, as only the tests call it, and so do the loop and
+einsum forms that the vectorized kernels replaced.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from dbcfem.elements import ReferenceBasis, triangle_quadrature
 from dbcfem.mesh import edge_lookup, edge_numbering
 
 # ---------------------------------------------------------------------------
@@ -349,3 +352,92 @@ def seminorm_pairwise(field):
             else:
                 total += 2.0 * pair(i, s4, w4, j, s4, w4)
     return math.sqrt(total)
+
+
+# ---------------------------------------------------------------------------
+# the forms the vectorized kernels replaced
+#
+# Cell geometry, edge lengths and the VTK writer must match these bit for
+# bit.  The stiffness and the load round differently on purpose (a
+# reference tensor and a matmul in place of per-point einsums) and are
+# compared with a tolerance.
+
+
+def cell_geometry_stacked(mesh):
+    """Per triangle: origin, Jacobian, determinant, inverse transpose,
+    from the (nt, 3, 2) array of corners."""
+    p = mesh.vertices[mesh.triangles]
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    inv_t = np.empty_like(jac)
+    inv_t[:, 0, 0] = jac[:, 1, 1]
+    inv_t[:, 0, 1] = -jac[:, 1, 0]
+    inv_t[:, 1, 0] = -jac[:, 0, 1]
+    inv_t[:, 1, 1] = jac[:, 0, 0]
+    inv_t /= det[:, None, None]
+    return p[:, 0], jac, det, inv_t
+
+
+def edge_lengths_sq_rolled(vertices, triangles):
+    """Squared lengths of the edges v0v1, v1v2, v2v0 of each triangle."""
+    p = vertices[triangles]
+    d = p - np.roll(p, -1, axis=1)
+    return np.einsum("tij,tij->ti", d, d)
+
+
+def stiffness_einsum(dofmap):
+    """The stiffness summed point by point over triangle_quadrature(2k)."""
+    rule = triangle_quadrature(2 * dofmap.degree)
+    grads = ReferenceBasis(dofmap.degree).gradients(rule.points)
+    _, _, det, inv_t = cell_geometry_stacked(dofmap.mesh)
+    phys = np.einsum("tab,nqb->tnqa", inv_t, grads)
+    local = np.einsum("q,t,tnqa,tmqa->tnm", rule.weights, det, phys, phys)
+    nd = local.shape[1]
+    rows = np.repeat(dofmap.cell_dofs, nd, axis=1).ravel()
+    cols = np.tile(dofmap.cell_dofs, (1, nd)).ravel()
+    n = dofmap.num_dofs
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def load_einsum(dofmap, g):
+    """(g, phi_i) summed point by point over triangle_quadrature(2k+2)
+    and added into the dofs with np.add.at; g maps (x1, x2) arrays."""
+    rule = triangle_quadrature(2 * dofmap.degree + 2)
+    vals = ReferenceBasis(dofmap.degree).values(rule.points)
+    origin, jac, det, _ = cell_geometry_stacked(dofmap.mesh)
+    pts = origin[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)
+    gq = np.broadcast_to(g(pts[..., 0], pts[..., 1]), pts.shape[:-1])
+    contrib = np.einsum("q,t,tq,nq->tn", rule.weights, det, gq, vals)
+    out = np.zeros(dofmap.num_dofs)
+    np.add.at(out, dofmap.cell_dofs.ravel(), contrib.ravel())
+    return out
+
+
+def export_vtk_per_element(mesh, fields=(), names=None):
+    """Legacy VTK bytes written one numpy scalar at a time."""
+    nv = mesh.num_vertices
+    nt = mesh.num_triangles
+    if names is None:
+        names = ["field_%d" % i for i in range(len(fields))]
+    lines = [
+        "# vtk DataFile Version 3.0",
+        "dbcfem level %d mesh" % mesh.level,
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        "POINTS %d double" % nv,
+    ]
+    for x, y in mesh.vertices:
+        lines.append("%.17g %.17g 0" % (x, y))
+    lines.append("CELLS %d %d" % (nt, 4 * nt))
+    for a, b, c in mesh.triangles:
+        lines.append("3 %d %d %d" % (a, b, c))
+    lines.append("CELL_TYPES %d" % nt)
+    lines.extend(["5"] * nt)
+    if fields:
+        lines.append("POINT_DATA %d" % nv)
+        for name, f in zip(names, fields):
+            lines.append("SCALARS %s double 1" % name)
+            lines.append("LOOKUP_TABLE default")
+            for v in f.coeffs[:nv]:
+                lines.append("%.17g" % v)
+    return ("\n".join(lines) + "\n").encode("ascii")

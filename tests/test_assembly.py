@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from dbcfem.analysis import error_H1_semi, error_L2, interpolate
-from dbcfem.assembly import (DofMap, _cell_quadrature, _physical_gradients,
-                             assemble_boundary_mass, assemble_load,
+from dbcfem.assembly import (DofMap, _cell_geometry, _cell_quadrature,
+                             _physical_gradients, assemble_boundary_mass,
+                             assemble_load,
                              assemble_mass, assemble_stiffness,
                              build_block_system)
 from dbcfem.elements import ReferenceBasis
@@ -15,11 +16,13 @@ from dbcfem.mesh import (TriMesh, make_initial_mesh, mesh_hierarchy,
                          refine_uniform)
 from dbcfem.problems import load_config
 
-from oracles import (as_float, dense_global_matrix, local_edge_mass_exact,
-                     local_mass_exact, local_stiffness_exact)
+from oracles import (as_float, cell_geometry_stacked, dense_global_matrix,
+                     load_einsum, local_edge_mass_exact, local_mass_exact,
+                     local_stiffness_exact, stiffness_einsum)
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 QUARTER = (0.0, 0.25, 0.0, 0.25)
+SKEW = (0.1, 1.3, 0.2, 0.9)
 
 
 def single_triangle_mesh(p0, p1, p2):
@@ -330,22 +333,53 @@ class TestPhysicalGradients:
             assert np.array_equal(_physical_gradients(inv_t, grads), want)
 
 
+class TestKernelOracles:
+    """The reference-tensor stiffness and the matmul load agree with the
+    per-point einsums they replaced to 1e-15 of the largest magnitude;
+    the column-wise cell geometry equals the stacked form bit for bit."""
+
+    LOADS = (lambda a, b: np.sin(3 * a) * np.cos(2 * b) + a * b,
+             lambda a, b: 2.5)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_stiffness_and_loads_match_the_einsums(self, degree):
+        for mesh in mesh_hierarchy(SKEW, 4):
+            dofmap = DofMap(mesh, degree)
+            want = stiffness_einsum(dofmap)
+            got = assemble_stiffness(dofmap)
+            assert abs(got - want).max() <= 1e-15 * abs(want).max()
+            for g in self.LOADS:
+                want = load_einsum(dofmap, g)
+                got = assemble_load(dofmap, g)
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("rect", [SKEW, (-0.7, 0.3, 0.15, 2.2)])
+    def test_cell_geometry_equals_the_stacked_form(self, rect):
+        for mesh in mesh_hierarchy(rect, 6):
+            for got, want in zip(_cell_geometry(mesh),
+                                 cell_geometry_stacked(mesh)):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), mesh.level
+
+
 class TestBitwiseKernels:
     """One sha256 per array over levels 0-5 of example1's domain: the
     CSR arrays of each operator, the load vectors of example1's f and
     y_d, and the L2 and H1 errors of an interpolant (which map the
     quadrature points the same way as the load).  Any change in
     rounding changes the digest of the array it touches, and only that
-    one."""
+    one.  The stiffness and load digests are those of the reference-tensor
+    stiffness and the matmul load, which TestKernelOracles compares with
+    the einsum forms they replaced."""
 
     DIGESTS = {
-        1: {"stiffness": "ec6fa0b876e32ec3", "mass": "4b90a9c17fa51736",
+        1: {"stiffness": "3fce34c6abe49d76", "mass": "4b90a9c17fa51736",
             "boundary_mass": "546651f8624e6d18",
-            "load_f": "795de0f11163de99", "load_y_d": "992b26b7eed1bfb3",
+            "load_f": "795de0f11163de99", "load_y_d": "ef9b0616a85cdbaf",
             "norms": "94d38616565a5928"},
-        2: {"stiffness": "06146ac245db28db", "mass": "184222e658e8307c",
+        2: {"stiffness": "2da3e46cf6a92819", "mass": "184222e658e8307c",
             "boundary_mass": "4ddeb36eef3e7392",
-            "load_f": "096c63a3a22972bd", "load_y_d": "1444b19e1480ec78",
+            "load_f": "096c63a3a22972bd", "load_y_d": "a3760d15531d268c",
             "norms": "ba05eb9a6c2bb07e"},
     }
 

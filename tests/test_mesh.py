@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbcfem.mesh import (TriMesh, edge_numbering, export_vtk,
-                         make_initial_mesh, mesh_hierarchy, prolong_linear,
-                         refine_uniform)
+from dbcfem.analysis import interpolate
+from dbcfem.assembly import DofMap
+from dbcfem.mesh import (TriMesh, _edge_lengths_sq, edge_numbering,
+                         export_vtk, make_initial_mesh, mesh_hierarchy,
+                         prolong_linear, refine_uniform)
 
-from oracles import check_mesh, signed_areas
+from oracles import (check_mesh, edge_lengths_sq_rolled,
+                     export_vtk_per_element, signed_areas)
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 QUARTER = (0.0, 0.25, 0.0, 0.25)
+SKEW = (0.1, 1.3, 0.2, 0.9)
 
 
 def rect_area(rect):
@@ -177,6 +181,14 @@ class TestRefinement:
         with pytest.raises(AssertionError):
             check_mesh(bad)
 
+    @pytest.mark.parametrize("rect", [SKEW, (-0.7, 0.3, 0.15, 2.2)])
+    def test_edge_lengths_and_h_max_equal_the_rolled_form(self, rect):
+        for mesh in mesh_hierarchy(rect, 6):
+            want = edge_lengths_sq_rolled(mesh.vertices, mesh.triangles)
+            got = _edge_lengths_sq(mesh.vertices, mesh.triangles)
+            assert np.array_equal(got, want), mesh.level
+            assert mesh.h_max == float(np.sqrt(want.max())), mesh.level
+
 
 class TestEdgeNumbering:
     @pytest.mark.parametrize("pair", [(0, 8), (0, 4)])
@@ -330,3 +342,14 @@ class TestVtkExport:
         b = export_vtk(mesh, fields=(field,), names=("f",))
         assert isinstance(a, bytes)
         assert a == b
+
+    @pytest.mark.parametrize("rect", [UNIT, SKEW])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_bytes_equal_the_per_element_writer(self, rect, degree):
+        mesh = mesh_hierarchy(rect, 3)[-1]
+        dofmap = DofMap(mesh, degree)
+        fields = (interpolate(dofmap, lambda a, b: np.sin(3 * a) * np.exp(b)),
+                  interpolate(dofmap, lambda a, b: a / 3 - b * b))
+        assert export_vtk(mesh) == export_vtk_per_element(mesh)
+        assert (export_vtk(mesh, fields, names=("y", "z"))
+                == export_vtk_per_element(mesh, fields, names=("y", "z")))

@@ -44,6 +44,7 @@ WRONG_TYPES = [
     ({"f": 5}, "bad expression for f"),
     ({"reference_level": "x"}, "bad value for reference_level"),
     ({"constants": {"s": "abc"}}, "bad value for constants"),
+    ({"levels": [0, float("inf")]}, "bad value for levels"),
 ]
 
 
@@ -204,6 +205,18 @@ class TestValidation:
             dataclasses.replace(spec, columns=("h1",))
         with pytest.raises(ConfigError, match="column entries"):
             dataclasses.replace(spec, columns=(("l2_y", True, False),))
+
+    @pytest.mark.parametrize("key,value", [
+        ("levels", (0, 1.5, 2.9)),
+        ("reference_level", 7.5),
+        ("degree", True),
+        ("gamma", False),
+        ("domain", "0101"),
+    ])
+    def test_replace_rejects_values_it_would_truncate(self, key, value):
+        # int() truncates 1.5, True passes as 1, and "0101" iterates
+        with pytest.raises(ConfigError, match="bad value for %s" % key):
+            dataclasses.replace(load_config("example1"), **{key: value})
 
     def test_gradient_entries_need_two_components(self, tmp_path):
         payload = dict(MINIMAL, columns=["h1_y"])
