@@ -254,7 +254,8 @@ def export_vtk(mesh, fields=(), names=None):
     # tolist() formats Python scalars, several times faster than numpy's
     lines.extend("%.17g %.17g 0" % (x, y) for x, y in mesh.vertices.tolist())
     lines.append("CELLS %d %d" % (nt, 4 * nt))
-    lines.extend("3 %d %d %d" % (a, b, c) for a, b, c in mesh.triangles.tolist())
+    lines.extend("3 %d %d %d" % (a, b, c)
+                 for a, b, c in mesh.triangles.tolist())
     lines.append("CELL_TYPES %d" % nt)
     lines.extend(["5"] * nt)
 

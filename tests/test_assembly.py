@@ -8,9 +8,8 @@ import pytest
 from dbcfem.analysis import error_H1_semi, error_L2, interpolate
 from dbcfem.assembly import (DofMap, _cell_geometry, _cell_quadrature,
                              _physical_gradients, assemble_boundary_mass,
-                             assemble_load,
-                             assemble_mass, assemble_stiffness,
-                             build_block_system)
+                             assemble_load, assemble_mass,
+                             assemble_stiffness, build_block_system)
 from dbcfem.elements import ReferenceBasis
 from dbcfem.mesh import (TriMesh, make_initial_mesh, mesh_hierarchy,
                          refine_uniform)
