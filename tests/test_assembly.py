@@ -5,7 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from dbcfem.analysis import error_H1_semi, error_L2, interpolate
+from dbcfem.analysis import (boundary_L2_projection, error_H1_semi, error_L2,
+                             error_L2_boundary, interpolate,
+                             seminorm_H_half_boundary)
 from dbcfem.assembly import (DofMap, _cell_geometry, _cell_quadrature,
                              _physical_gradients, assemble_boundary_mass,
                              assemble_load, assemble_mass,
@@ -382,30 +384,68 @@ class TestBitwiseKernels:
             "norms": "ba05eb9a6c2bb07e"},
     }
 
+    # the trace layer on the same meshes: the H^{1/2} seminorm and the
+    # boundary L2 error of the interpolant, and the boundary L2
+    # projection of the interpolated function; recorded before the
+    # seminorm's neighbouring-panel block was folded into its offset loop
+    TRACE_DIGESTS = {
+        1: {"seminorm": "734aa7f65dda2f57",
+            "boundary_error": "1425d12dd009067a",
+            "projection": "ed4bfc3a3c0cd3fd"},
+        2: {"seminorm": "e75ea194e916653f",
+            "boundary_error": "fd8839a58bd4395d",
+            "projection": "d219281e0443f744"},
+    }
+
     @staticmethod
-    def digests(degree):
+    def levels(degree):
+        """(dofmap, interpolant, fn, spec) on levels 0-5 of example1."""
         spec = load_config("example1")
-        f, y_d = spec.field(spec.f), spec.field(spec.y_d)
-        y = spec.field(spec.exact["y"])
-        g1, g2 = (spec.field(s) for s in spec.exact["y_grad"])
-        hashes = {}
+        fn = lambda a, b: np.sin(3 * a) * np.cos(2 * b)
         for mesh in mesh_hierarchy(spec.domain, 5):
             dofmap = DofMap(mesh, degree)
-            u = interpolate(dofmap, lambda a, b: np.sin(3 * a) * np.cos(2 * b))
-            errors = (error_L2(u, y),
-                      error_H1_semi(u, lambda a, b: (g1(a, b), g2(a, b))))
-            arrays = {"load_f": [assemble_load(dofmap, f)],
-                      "load_y_d": [assemble_load(dofmap, y_d)],
-                      "norms": [np.array(errors)]}
-            for name in ("stiffness", "mass", "boundary_mass"):
-                m = getattr(dofmap, name)
-                arrays[name] = [m.data, m.indices, m.indptr]
+            yield dofmap, interpolate(dofmap, fn), fn, spec
+
+    @staticmethod
+    def hexdigests(arrays_per_level):
+        hashes = {}
+        for arrays in arrays_per_level:
             for name, parts in arrays.items():
                 h = hashes.setdefault(name, hashlib.sha256())
                 for part in parts:
                     h.update(np.ascontiguousarray(part).tobytes())
         return {name: h.hexdigest()[:16] for name, h in hashes.items()}
 
+    @classmethod
+    def digests(cls, degree):
+        def arrays(dofmap, u, spec):
+            f, y_d = spec.field(spec.f), spec.field(spec.y_d)
+            g1, g2 = (spec.field(s) for s in spec.exact["y_grad"])
+            errors = (error_L2(u, spec.field(spec.exact["y"])),
+                      error_H1_semi(u, lambda a, b: (g1(a, b), g2(a, b))))
+            out = {"load_f": [assemble_load(dofmap, f)],
+                   "load_y_d": [assemble_load(dofmap, y_d)],
+                   "norms": [np.array(errors)]}
+            for name in ("stiffness", "mass", "boundary_mass"):
+                m = getattr(dofmap, name)
+                out[name] = [m.data, m.indices, m.indptr]
+            return out
+        return cls.hexdigests(arrays(dofmap, u, spec)
+                              for dofmap, u, _, spec in cls.levels(degree))
+
+    @classmethod
+    def trace_digests(cls, degree):
+        def arrays(dofmap, u, fn, spec):
+            y = spec.field(spec.exact["y"])
+            return {"seminorm": [np.array(seminorm_H_half_boundary(u))],
+                    "boundary_error": [np.array(error_L2_boundary(u, y))],
+                    "projection": [boundary_L2_projection(dofmap, fn)]}
+        return cls.hexdigests(arrays(*level) for level in cls.levels(degree))
+
     @pytest.mark.parametrize("degree", [1, 2])
     def test_operators_loads_and_norms_are_bitwise_unchanged(self, degree):
         assert self.digests(degree) == self.DIGESTS[degree]
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_trace_layer_is_bitwise_unchanged(self, degree):
+        assert self.trace_digests(degree) == self.TRACE_DIGESTS[degree]
