@@ -14,12 +14,13 @@ vanishing at every interior node) for the inverse estimate
 and the uniform bound on gamma^{1/2}||y_h||_Gamma + ||y_h|| and
 |y_h|_{1/2,Gamma} under refinement.
 
-The double integral is evaluated panel-pairwise over the boundary walk:
-the diagonal (same panel) reduces to the square of a polynomial divided
-difference and is integrated with an unequal-order tensor Gauss rule
-whose node sets cannot collide; panels sharing a vertex use a 4-level
-geometrically graded subdivision toward the shared point; all other
-pairs go through one loop over the walk offset with plain tensor Gauss,
+The double integral is evaluated panel-pairwise over the boundary walk.
+The diagonal block (each panel against itself) reduces to the square of
+a polynomial divided difference and is integrated with an unequal-order
+tensor Gauss rule whose node sets cannot collide.  Every other pair goes
+through one loop over the walk offset with one rule per offset: panels
+sharing a vertex (offset 1) use a 4-level geometrically graded
+subdivision toward the shared point, and the rest plain tensor Gauss,
 8 points per panel up to 4 panels apart and 4 beyond.
 """
 
@@ -88,22 +89,13 @@ def error_L2_boundary(field, exact):
     return math.sqrt(np.einsum("q,e,eq->", rule.weights, lengths, diff ** 2))
 
 
-def _gauss01(n):
-    """Points and weights of the n-point Gauss rule on [0, 1]."""
-    rule = segment_quadrature(2 * n - 1)
-    return rule.points, rule.weights
-
-
 def _graded_points():
     # geometric subdivision of [0,1] toward 0 in 4 cells, [0, 1/8]
     # and then doubling, with 4 Gauss points per cell
-    breaks = [0.0] + [2.0 ** (k - 4) for k in range(1, 5)]
-    x, w = _gauss01(4)
-    pts, wts = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        pts.append(lo + (hi - lo) * x)
-        wts.append((hi - lo) * w)
-    return np.concatenate(pts), np.concatenate(wts)
+    breaks = np.array([0.0] + [2.0 ** (k - 4) for k in range(1, 5)])
+    lo, width = breaks[:-1, None], np.diff(breaks)[:, None]
+    rule = segment_quadrature(7)
+    return (lo + width * rule.points).ravel(), (width * rule.weights).ravel()
 
 
 def _panel_values(field, t):
@@ -114,45 +106,41 @@ def _panel_values(field, t):
 
 def seminorm_H_half_boundary(field):
     """Aronszajn-Slobodeckij H^{1/2} seminorm of the boundary trace."""
-    dofmap = field.dofmap
-    _, _, lengths = _boundary_geometry(dofmap)
+    a, b, lengths = _boundary_geometry(field.dofmap)
     n = len(lengths)
 
     # diagonal: contribution of each panel against itself is the square
     # of the divided difference, a polynomial; unequal Gauss orders keep
     # the node sets disjoint so the difference quotient is well defined
-    s, ws = _gauss01(4)
-    t, wt = _gauss01(5)
-    vs = _panel_values(field, s)
-    vt = _panel_values(field, t)
-    quot = (vs[:, :, None] - vt[:, None, :]) / (s[:, None] - t[None, :])
-    total = np.einsum("i,j,eij->", ws, wt, quot ** 2)
+    s, t = segment_quadrature(7), segment_quadrature(9)
+    vs = _panel_values(field, s.points)
+    vt = _panel_values(field, t.points)
+    quot = ((vs[:, :, None] - vt[:, None, :])
+            / (s.points[:, None] - t.points[None, :]))
+    total = np.einsum("i,j,eij->", s.weights, t.weights, quot ** 2)
 
-    # panels sharing a vertex: graded subdivision toward the shared point
+    # every other pair, one walk offset at a time, each unordered pair
+    # once (at off = n/2 only the first n/2 panels) and counted twice.
+    # A rule is a (row side, column side, weights) triple; a side holds
+    # the trace values and points at its parameters on every panel.
+    # Neighbours (off = 1) use the points graded toward the shared
+    # vertex, the row panel's end and the column panel's start; farther
+    # pairs tensor Gauss, 8 points up to 4 panels apart and 4 beyond.
+    def side(t):
+        return _panel_values(field, t), _edge_points(a, b, t)
+
     tg, wg = _graded_points()
-    v_out = _panel_values(field, 1.0 - tg)      # parameter from panel end
-    x_out = _edge_points(dofmap, 1.0 - tg)
-    v_in = np.roll(_panel_values(field, tg), -1, axis=0)
-    x_in = np.roll(_edge_points(dofmap, tg), -1, axis=0)
-    num = (v_out[:, :, None] - v_in[:, None, :]) ** 2
-    d2 = ((x_out[:, :, None, :] - x_in[:, None, :, :]) ** 2).sum(axis=3)
-    ww = np.einsum("e,i,j->eij", lengths * np.roll(lengths, -1), wg, wg)
-    total += 2.0 * float((num / d2 * ww).sum())
-
-    # all other pairs, one walk offset at a time: tensor Gauss with 8
-    # points up to 4 panels apart and 4 beyond; each unordered pair is
-    # visited once (at off = n/2 only the first n/2 panels) and counted
-    # twice
-    rules = {}
+    rules = [(side(1.0 - tg), side(tg), wg)]
     for q in (8, 4):
-        tq, wq = _gauss01(q)
-        rules[q] = (_panel_values(field, tq), _edge_points(dofmap, tq), wq)
-    for off in range(2, n // 2 + 1):
-        v, x, w = rules[8 if off <= 4 else 4]
+        gauss = segment_quadrature(2 * q - 1)
+        rules.append((side(gauss.points),) * 2 + (gauss.weights,))
+    for off in range(1, n // 2 + 1):
+        (v_r, x_r), (v_c, x_c), w = rules[0 if off == 1 else
+                                          1 if off <= 4 else 2]
         rows = np.arange(n if off < n - off else n // 2)
         cols = (rows + off) % n
-        num = (v[rows, :, None] - v[cols, None, :]) ** 2
-        d2 = ((x[rows, :, None, :] - x[cols, None, :, :]) ** 2).sum(axis=3)
+        num = (v_r[rows, :, None] - v_c[cols, None, :]) ** 2
+        d2 = ((x_r[rows, :, None] - x_c[cols, None]) ** 2).sum(axis=3)
         ww = np.einsum("e,i,j->eij", lengths[rows] * lengths[cols], w, w)
         total += 2.0 * float((num / d2 * ww).sum())
 
@@ -169,8 +157,8 @@ def boundary_L2_projection(dofmap, q):
     tvals = _trace_values(dofmap.degree, rule.points)
     contrib = np.einsum("q,e,eq,nq->en", rule.weights, lengths,
                         _sample(q, pts), tvals)
-    rhs_full = np.zeros(dofmap.num_dofs)
-    np.add.at(rhs_full, dofmap.edge_dofs.ravel(), contrib.ravel())
+    rhs_full = np.bincount(dofmap.edge_dofs.ravel(), contrib.ravel(),
+                           minlength=dofmap.num_dofs)
 
     bb = dofmap.boundary_mass[dofmap.boundary, :][:, dofmap.boundary].tocsc()
     return spsolve(bb, rhs_full[dofmap.boundary])

@@ -49,25 +49,21 @@ class DofMap:
             raise ValueError("unsupported degree %r (only 1 and 2)" % (degree,))
         self.mesh = mesh
         self.degree = degree
-        nv = mesh.num_vertices
         tri = mesh.triangles
 
         if degree == 1:
-            self.num_dofs = nv
             self.cell_dofs = tri
             self.edge_dofs = mesh.boundary_edges
             self.coords = mesh.vertices
-            bset = np.unique(mesh.boundary_edges)
         else:
             nodes, cell_mids, boundary_mids, _ = midpoint_nodes(mesh)
-            self.num_dofs = len(nodes)
             self.cell_dofs = np.hstack([tri, cell_mids])
             self.edge_dofs = np.column_stack([mesh.boundary_edges,
                                               boundary_mids])
             self.coords = nodes
-            bset = np.unique(self.edge_dofs)
 
-        self.boundary = np.sort(bset).astype(np.int64)
+        self.num_dofs = len(self.coords)
+        self.boundary = np.unique(self.edge_dofs).astype(np.int64)
         mask = np.ones(self.num_dofs, dtype=bool)
         mask[self.boundary] = False
         self.interior = np.flatnonzero(mask).astype(np.int64)
@@ -144,10 +140,9 @@ def _boundary_geometry(dofmap):
     return a, b, np.sqrt(((b - a) ** 2).sum(axis=1))
 
 
-def _edge_points(dofmap, t):
-    """Points a + t (b - a) at parameters t on every boundary edge;
-    (nbe, len(t), 2)."""
-    a, b, _ = _boundary_geometry(dofmap)
+def _edge_points(a, b, t):
+    """Points a + t (b - a) at parameters t on every boundary edge from
+    a to b (see _boundary_geometry); (nbe, len(t), 2)."""
     return a[:, None, :] + np.asarray(t)[None, :, None] * (b - a)[:, None, :]
 
 
@@ -157,20 +152,19 @@ def _edge_quadrature(dofmap, exactness=None):
     """
     rule = segment_quadrature(2 * dofmap.degree + 2 if exactness is None
                               else exactness)
-    _, _, lengths = _boundary_geometry(dofmap)
-    return rule, lengths, _edge_points(dofmap, rule.points)
+    a, b, lengths = _boundary_geometry(dofmap)
+    return rule, lengths, _edge_points(a, b, rule.points)
 
 
 def _scatter(dofs, local, n):
     """n x n CSR matrix summing the local matrices local[e] on the rows
-    and columns dofs[e]; sorted columns, no explicit zeros."""
+    and columns dofs[e]; sorted columns, no explicit zeros.  tocsr()
+    already sums the duplicates and sorts the columns."""
     nd = dofs.shape[1]
     rows = np.repeat(dofs, nd, axis=1).ravel()
     cols = np.tile(dofs, (1, nd)).ravel()
     m = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    m.sum_duplicates()
     m.eliminate_zeros()
-    m.sort_indices()
     return m
 
 
@@ -289,9 +283,8 @@ def build_block_system(dofmap, gamma, f, y_d):
     stiff = dofmap.stiffness
     interior = dofmap.interior
     A = stiff[interior, :]
-    C = stiff[:, interior].tocsr()
-    B = (-(dofmap.mass + gamma * dofmap.boundary_mass)).tocsr()
-    B.sort_indices()
+    C = stiff[:, interior]
+    B = -(dofmap.mass + gamma * dofmap.boundary_mass)
     F = assemble_load(dofmap, f)[interior]
     G = -assemble_load(dofmap, y_d)
     return BlockSystem(A=A, B=B, C=C, F=F, G=G, interior=interior,

@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -52,32 +51,18 @@ _TOLERANCES = {
 }
 
 
-@dataclass
-class RunRecord:
-    """What a command ran and what came out, for reproducibility."""
-
-    command: str
-    problem: str
-    config_hash: str
-    timestamp: str
-    solves: list
-    report: dict
-
-    def to_json(self):
-        return json.dumps(dataclasses.asdict(self), indent=2,
-                          sort_keys=True) + "\n"
-
-
-def _timestamp():
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _record(command, spec, solutions, report):
-    """The run record; solves holds each level's solve_block stats."""
-    return RunRecord(
-        command=command, problem=spec.name, config_hash=config_hash(spec),
-        timestamp=_timestamp(), report=report,
-        solves=[{"level": s.level, **s.stats} for s in solutions])
+def _write_record(path, command, spec, solutions, report):
+    """Write the run record, what a command ran and what came out, as
+    JSON; solves holds each level's solve_block stats."""
+    record = {
+        "command": command, "problem": spec.name,
+        "config_hash": config_hash(spec),
+        "timestamp": datetime.now(timezone.utc).strftime(
+            "%Y-%m-%dT%H:%M:%SZ"),
+        "solves": [{"level": s.level, **s.stats} for s in solutions],
+        "report": report}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_solve(args):
@@ -113,13 +98,11 @@ def cmd_solve(args):
             spec, sol, [key for key in ("l2_y", "h1_y", "l2_z", "l2_u")
                         if NORMS[key][1] in spec.exact])
 
-    record = _record("solve", spec, [sol], report={
-        "level": sol.level, "num_dofs": dofmap.num_dofs,
-        "num_triangles": mesh.num_triangles, "h_max": mesh.h_max,
-        "norms": norms})
-    with open(os.path.join(args.out, "summary.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(record.to_json())
+    _write_record(os.path.join(args.out, "summary.json"), "solve", spec,
+                  [sol], report={
+                      "level": sol.level, "num_dofs": dofmap.num_dofs,
+                      "num_triangles": mesh.num_triangles,
+                      "h_max": mesh.h_max, "norms": norms})
     print("solved %s level %d: %d dofs, %d cells, residual %.3e"
           % (spec.name, sol.level, dofmap.num_dofs, mesh.num_triangles,
              sol.stats["residual"]))
@@ -136,14 +119,12 @@ def cmd_convergence(args):
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_text)
 
-    record = _record("convergence", spec, solutions, report={
+    stem, _ = os.path.splitext(args.out)
+    _write_record(stem + ".run.json", "convergence", spec, solutions, report={
         "h": list(report.h),
         "errors": {k: list(v) for k, v in report.errors.items()},
         "eoc": {k: list(v) for k, v in report.eoc.items()},
         "columns": [list(c) for c in report.columns]})
-    stem, _ = os.path.splitext(args.out)
-    with open(stem + ".run.json", "w", encoding="utf-8") as fh:
-        fh.write(record.to_json())
 
     sys.stdout.write(csv_text)
     return 0

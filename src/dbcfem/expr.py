@@ -67,18 +67,6 @@ def _tokenize(text):
     return tokens
 
 
-class Expr:
-    """Immutable expression tree.
-
-    Nodes are nested tuples: ("num", value), ("var", name),
-    ("const", name), ("neg", child), (op, left, right) with op in
-    add/sub/mul/div/pow, and ("call", fname, args).
-    """
-
-    def __init__(self, root):
-        self.root = root
-
-
 class _Parser:
     def __init__(self, tokens, names):
         self.tokens = tokens
@@ -158,7 +146,11 @@ class _Parser:
 
 
 def parse(text, constants=DEFAULT_CONSTANTS):
-    """Parse an expression string into an Expr.
+    """Parse an expression string into an immutable tree.
+
+    Nodes are nested tuples: ("num", value), ("var", name),
+    ("const", name), ("neg", child), (op, left, right) with op in
+    add/sub/mul/div/pow, and ("call", fname, args).
 
     Keyword arguments:
         constants -- iterable of constant names allowed besides gamma
@@ -169,11 +161,11 @@ def parse(text, constants=DEFAULT_CONSTANTS):
     """
     names = frozenset(constants) | frozenset(DEFAULT_CONSTANTS)
     parser = _Parser(_tokenize(text), names)
-    root = parser.expr()
+    tree = parser.expr()
     kind, _, off = parser.peek()
     if kind != "end":
         raise ParseError("unexpected trailing input", off)
-    return Expr(root)
+    return tree
 
 
 _UNARY_FN = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
@@ -213,8 +205,8 @@ def _eval_node(node, x1, x2, consts):
     return np.power(a, b)  # pow
 
 
-def eval(e, x1, x2, constants=None):
-    """Evaluate an Expr at x1, x2 (scalars or broadcastable arrays).
+def eval(tree, x1, x2, constants=None):
+    """Evaluate a parsed tree at x1, x2 (scalars or broadcastable arrays).
 
     Keyword arguments:
         constants -- mapping of constant names to values (gamma, ...)
@@ -228,7 +220,7 @@ def eval(e, x1, x2, constants=None):
     scalar = ax1.ndim == 0 and ax2.ndim == 0
     try:
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            out = _eval_node(e.root, ax1, ax2, consts)
+            out = _eval_node(tree, ax1, ax2, consts)
     except FloatingPointError as err:
         raise EvalError("evaluation failed: %s" % err) from None
     out = np.broadcast_to(np.asarray(out, dtype=np.float64),

@@ -52,6 +52,7 @@ NORMS = {
     "l2_u": ("y", "u", "error_L2_boundary", "boundary_mass"),
 }
 NORM_KEYS = tuple(NORMS)
+EXACT_KEYS = tuple(entry for _, entry, _, _ in NORMS.values())
 
 
 def _column(entry):
@@ -61,6 +62,9 @@ def _column(entry):
     if len(entry) != 2:
         raise ConfigError("column entries are a norm key or a "
                           "[key, with_order] pair")
+    if not isinstance(entry[1], (bool, np.bool_)):
+        raise TypeError("with_order must be true or false, got %r"
+                        % (entry[1],))
     return str(entry[0]), bool(entry[1])
 
 
@@ -93,9 +97,10 @@ class ProblemSpec:
 
     Direct construction and dataclasses.replace are normalized and
     checked here just as JSON input is: a column is a norm key or a
-    (key, with_order) pair, a *_grad entry of exact is a pair, constants
-    are floats and expressions are strings.  A value that does not
-    convert is a ConfigError that names its key.
+    (key, with_order) pair with a boolean with_order, exact holds only
+    the EXACT_KEYS and its *_grad entries are pairs, constants are
+    floats and expressions are strings.  A value that does not convert
+    is a ConfigError that names its key.
     """
 
     name: str
@@ -131,6 +136,11 @@ class ProblemSpec:
         if self.exact is not None:
             fix("exact", lambda v: {k: tuple(e) if k.endswith("_grad") else e
                                     for k, e in v.items()})
+            unknown = sorted(set(self.exact) - set(EXACT_KEYS))
+            if unknown:
+                raise ConfigError("unknown exact entries: %s (choose from "
+                                  "%s)" % (", ".join(unknown),
+                                           ", ".join(EXACT_KEYS)))
         if self.reference_level is not None:
             fix("reference_level", _integer)
 

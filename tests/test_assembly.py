@@ -105,6 +105,8 @@ class TestGlobalMatrices:
                                ("boundary_mass", assemble_boundary_mass)):
             cached = getattr(dofmap, kind)
             assert getattr(dofmap, kind) is cached, kind
+            # sorted columns and no duplicates, straight from tocsr()
+            assert cached.format == "csr" and cached.has_canonical_format
             fresh = assemble(dofmap)
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(cached, part),
@@ -229,6 +231,8 @@ class TestBlockSystem:
                                     lambda x1, x2: 0 * x1,
                                     lambda x1, x2: 0 * x1)
         stiff = assemble_stiffness(dofmap).toarray()
+        for block in (system.A, system.B, system.C):
+            assert block.format == "csr" and block.has_canonical_format
         assert np.array_equal(system.A.toarray(), stiff[dofmap.interior, :])
         assert np.array_equal(system.C.toarray(), stiff[:, dofmap.interior])
 

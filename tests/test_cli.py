@@ -290,6 +290,16 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err, patch
 
+    def test_numeric_with_order_is_a_config_error(self, tmp_path, capsys):
+        # 0 would otherwise read as "no order column"; no table is written
+        config = write_config(tmp_path, {"problem": "example1",
+                                         "columns": [["h1_y", 0]]})
+        out = tmp_path / "table.csv"
+        assert main(["convergence", "--config", config,
+                     "--out", str(out)]) == 2
+        assert "bad value for columns" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_expression_domain_error_is_a_config_error(self, tmp_path,
                                                        capsys):
         config = write_config(tmp_path, {"problem": "example1",

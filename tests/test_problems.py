@@ -45,6 +45,7 @@ WRONG_TYPES = [
     ({"reference_level": "x"}, "bad value for reference_level"),
     ({"constants": {"s": "abc"}}, "bad value for constants"),
     ({"levels": [0, float("inf")]}, "bad value for levels"),
+    ({"columns": [["l2_y", "false"]]}, "bad value for columns"),
 ]
 
 
@@ -162,6 +163,8 @@ class TestValidation:
         ({"y_d": "s*x1"}, "bad expression for y_d: unknown identifier 's'"),
         ({"solver_tolerance": "1e-12"}, "bad solver settings"),
         *WRONG_TYPES,
+        ({"exact": {"y": "x1", "yy": "x1"}}, "unknown exact entries: yy"),
+        ({"exact": {"y_grd": "x1"}}, "unknown exact entries: y_grd"),
     ])
     def test_bad_field_rejected(self, tmp_path, patch, match):
         payload = dict(MINIMAL, **patch)
