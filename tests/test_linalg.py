@@ -1,7 +1,10 @@
 """Coupled-system solves, residual gating, and sparse kernels."""
 
 import contextlib
+import dataclasses
 import functools
+import hashlib
+import json
 import logging
 import os
 import subprocess
@@ -17,6 +20,7 @@ from dbcfem.assembly import BlockSystem, DofMap, build_block_system
 from dbcfem.linalg import (SolverConfig, SolverError, _interior_solver,
                            _SineSolver, _uniform_grid, residual, solve_block)
 from dbcfem.mesh import make_initial_mesh, mesh_hierarchy, refine_uniform
+from dbcfem.problems import load_config
 
 from oracles import coupled_lu_solve
 
@@ -219,6 +223,50 @@ class TestSolveBlock:
             assert np.abs(Yp - Y[perm_n]).max() <= 1e-10 * np.abs(Y).max()
             assert np.abs(Zp - Z[perm_i]).max() <= 1e-10 * np.abs(Y).max()
         assert stats["interior"] == "dst"
+
+
+class TestBitwiseSolve:
+    """One sha256 per problem over levels 0-5 of Y, Z and the solve
+    record, each solved with its spec's tolerance: example1 (P1 at
+    gamma = 1 and 0.01, and P2) and example2.  Any change in the
+    rounding of the solver, the residual or the refinement sweeps
+    changes the digest of every problem it touches.  Recorded while A
+    and C were stored copies of the stiffness rows and columns."""
+
+    DIGESTS = {
+        "example1": "6142620bf45cb571",
+        "example1-gamma0.01": "6a1dbe52ef44d5a4",
+        "example1-p2": "cb256d20dde21853",
+        "example2": "640b7d9a1e30776e",
+    }
+
+    SPECS = {
+        "example1": ("example1", {}),
+        "example1-gamma0.01": ("example1", {"gamma": 0.01}),
+        "example1-p2": ("example1", {"degree": 2}),
+        "example2": ("example2", {}),
+    }
+
+    @classmethod
+    def digest(cls, name):
+        preset, changes = cls.SPECS[name]
+        spec = dataclasses.replace(load_config(preset), **changes)
+        f, y_d = spec.field(spec.f), spec.field(spec.y_d)
+        config = SolverConfig(spec.solver_tolerance)
+        h = hashlib.sha256()
+        for mesh in mesh_hierarchy(spec.domain, 5):
+            system = build_block_system(DofMap(mesh, spec.degree),
+                                        spec.gamma, f, y_d)
+            stats = {}
+            Y, Z = solve_block(system, config, stats=stats)
+            h.update(Y.tobytes())
+            h.update(Z.tobytes())
+            h.update(json.dumps(stats, sort_keys=True).encode())
+        return h.hexdigest()[:16]
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_solution_and_record_are_bitwise_unchanged(self, name):
+        assert self.digest(name) == self.DIGESTS[name]
 
 
 class TestMatrixMarket:
