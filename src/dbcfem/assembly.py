@@ -17,10 +17,10 @@ the |I| interior dofs, the algebraic form is
     [ B  C ] [Z] = [G]      B = -(M + gamma * M_Gamma),  C = interior
                                 stiffness columns,  G = -(y_d, phi)
 
-The full N x N stiffness matrix is assembled once per DofMap; A and C
-are row and column restrictions of it, which keeps the two blocks
-consistent by construction.  The homogeneous condition on z is imposed
-by dropping boundary columns (C has |I| columns), never by penalty.
+The N x N stiffness matrix K is assembled once per DofMap, and the block
+system keeps that one matrix: A = K[I, :] and C = K[:, I] are read off
+it, so the two blocks agree by construction.  The homogeneous condition
+on z is imposed by dropping boundary columns, never by penalty.
 """
 
 from dataclasses import dataclass
@@ -95,12 +95,11 @@ def _cell_geometry(mesh):
     return np.column_stack([x[:, 0], y[:, 0]]), jac, det, inv_t
 
 
-def _cell_quadrature(dofmap, exactness=None):
-    """Triangle rule (default exactness 2k+2), per-cell det and inverse
+def _cell_quadrature(dofmap):
+    """Triangle rule of exactness 2k+2, per-cell det and inverse
     transpose Jacobian, and the physical quadrature points (nt, nq, 2).
     """
-    rule = triangle_quadrature(2 * dofmap.degree + 2 if exactness is None
-                               else exactness)
+    rule = triangle_quadrature(2 * dofmap.degree + 2)
     origin, jac, det, inv_t = _cell_geometry(dofmap.mesh)
     pts = origin[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points,
                                          optimize=True)
@@ -235,9 +234,9 @@ def assemble_load(dofmap, g):
 class BlockSystem:
     """The coupled algebraic system [[A, 0], [B, C]] [Y; Z] = [F; G].
 
-    A        -- |I| x N stiffness rows tested by interior functions
+    K        -- N x N stiffness, the DofMap's own: never modify it
+    A, C     -- K[I, :] and K[:, I], computed from K on each access
     B        -- N x N, equal to -(M + gamma * M_Gamma)
-    C        -- N x |I| stiffness columns of interior trial functions
     F, G     -- load vectors of length |I| and N
     interior -- the Z (and test-row) index set I into 0..N
     boundary -- complement of I
@@ -246,14 +245,16 @@ class BlockSystem:
                 factorization of any other
     """
 
-    A: sp.csr_matrix
+    K: sp.csr_matrix
     B: sp.csr_matrix
-    C: sp.csr_matrix
     F: np.ndarray
     G: np.ndarray
     interior: np.ndarray
     boundary: np.ndarray
     coords: np.ndarray
+
+    A = property(lambda self: self.K[self.interior, :])
+    C = property(lambda self: self.K[:, self.interior])
 
     @property
     def num_dofs(self):
@@ -280,12 +281,9 @@ def build_block_system(dofmap, gamma, f, y_d):
     if not gamma > 0:
         raise ValueError("regularization weight gamma must be positive, got %r"
                          % (gamma,))
-    stiff = dofmap.stiffness
-    interior = dofmap.interior
-    A = stiff[interior, :]
-    C = stiff[:, interior]
     B = -(dofmap.mass + gamma * dofmap.boundary_mass)
-    F = assemble_load(dofmap, f)[interior]
+    F = assemble_load(dofmap, f)[dofmap.interior]
     G = -assemble_load(dofmap, y_d)
-    return BlockSystem(A=A, B=B, C=C, F=F, G=G, interior=interior,
-                       boundary=dofmap.boundary, coords=dofmap.coords)
+    return BlockSystem(K=dofmap.stiffness, B=B, F=F, G=G,
+                       interior=dofmap.interior, boundary=dofmap.boundary,
+                       coords=dofmap.coords)

@@ -47,6 +47,7 @@ class SolverConfig:
 def _residual_vector(system, x):
     """[F - A·Y; G - B·Y - C·Z] at x = [Y; Z], accumulated block by
     block in 80-bit precision, so the coupled matrix is never formed.
+    A·Y = (K·Y)[I], and C·Z = K·Z with Z zero-extended to N dofs.
 
     In plain double arithmetic the computed residual of a good solution
     is dominated by rounding in the matrix-vector products themselves,
@@ -57,10 +58,10 @@ def _residual_vector(system, x):
     """
     ld = np.longdouble
     n = system.num_dofs
-    Y, Z = x[:n].astype(ld), x[n:].astype(ld)
-    top = system.F.astype(ld) - system.A.astype(ld) @ Y
-    bottom = (system.G.astype(ld) - system.B.astype(ld) @ Y
-              - system.C.astype(ld) @ Z)
+    K, Y, Z = system.K.astype(ld), x[:n].astype(ld), np.zeros(n, dtype=ld)
+    Z[system.interior] = x[n:]
+    top = system.F.astype(ld) - (K @ Y)[system.interior]
+    bottom = system.G.astype(ld) - system.B.astype(ld) @ Y - K @ Z
     return np.concatenate([top, bottom])
 
 
@@ -251,10 +252,11 @@ def _reduced_solver(system, atol, stats):
     or "splu") to stats["interior"], the size of an splu factor to
     stats["fill"], and appends each CG count to stats["iterations"].
     """
-    I, Bnd, B = system.interior, system.boundary, system.B
+    I, Bnd, B, K = system.interior, system.boundary, system.B, system.K
     n, ni, nb = system.num_dofs, len(I), len(Bnd)
-    K_IB, K_BI = system.A[:, Bnd].tocsr(), system.C[Bnd, :].tocsr()
-    K_II = _interior_solver(system.C[I, :], system.coords[I])
+    # K_BI is not K_IB.T: the P2 stiffness is symmetric only to rounding
+    K_IB, K_BI = K[I][:, Bnd], K[Bnd][:, I]
+    K_II = _interior_solver(K[I][:, I], system.coords[I])
     stats["interior"] = "dst" if isinstance(K_II, _SineSolver) else "splu"
     if stats["interior"] == "splu":
         stats["fill"] = K_II.nnz
@@ -308,14 +310,13 @@ def solve_block(system, config=None, stats=None):
                   DEBUG level to the "dbcfem" logger
 
     Raises SolverError if a factorization fails, CG runs out of
-    iterations, or the relative residual exceeds the tolerance.
+    iterations, or the relative residual exceeds the tolerance.  There
+    is no ValueError for inconsistent blocks: A and C are both read off
+    K, so they cannot disagree.
     """
     if config is None:
         config = SolverConfig()
     n = system.num_dofs
-    if system.A.shape[1] != n or system.C.shape[0] != n:
-        raise ValueError("inconsistent block dimensions")
-
     b = system.rhs()
     stats = {} if stats is None else stats
     stats.setdefault("iterations", [])

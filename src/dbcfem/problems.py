@@ -134,7 +134,8 @@ class ProblemSpec:
         fix("constants", lambda v: {k: _real(c)
                                     for k, c in dict(v or {}).items()})
         if self.exact is not None:
-            fix("exact", lambda v: {k: tuple(e) if k.endswith("_grad") else e
+            pair = _items(lambda c: c)
+            fix("exact", lambda v: {k: pair(e) if k.endswith("_grad") else e
                                     for k, e in v.items()})
             unknown = sorted(set(self.exact) - set(EXACT_KEYS))
             if unknown:
@@ -279,14 +280,14 @@ def load_config(source):
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ConfigError("invalid JSON in %s: %s" % (source, err)) from None
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
         base = data.pop("problem", None)
         if base is not None:
-            if base not in REGISTRY:
-                raise ConfigError("unknown problem preset '%s'" % base)
+            if not isinstance(base, str) or base not in REGISTRY:
+                raise ConfigError("unknown problem preset '%s'" % (base,))
             merged = copy.deepcopy(REGISTRY[base])
         else:
             merged = {"name": os.path.splitext(os.path.basename(source))[0]}

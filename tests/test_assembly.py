@@ -8,11 +8,11 @@ import pytest
 from dbcfem.analysis import (boundary_L2_projection, error_H1_semi, error_L2,
                              error_L2_boundary, interpolate,
                              seminorm_H_half_boundary)
-from dbcfem.assembly import (DofMap, _cell_geometry, _cell_quadrature,
-                             _physical_gradients, assemble_boundary_mass,
-                             assemble_load, assemble_mass,
-                             assemble_stiffness, build_block_system)
-from dbcfem.elements import ReferenceBasis
+from dbcfem.assembly import (DofMap, _cell_geometry, _physical_gradients,
+                             assemble_boundary_mass, assemble_load,
+                             assemble_mass, assemble_stiffness,
+                             build_block_system)
+from dbcfem.elements import ReferenceBasis, triangle_quadrature
 from dbcfem.mesh import (TriMesh, make_initial_mesh, mesh_hierarchy,
                          refine_uniform)
 from dbcfem.problems import load_config
@@ -230,6 +230,7 @@ class TestBlockSystem:
         system = build_block_system(dofmap, 1.0,
                                     lambda x1, x2: 0 * x1,
                                     lambda x1, x2: 0 * x1)
+        assert system.K is dofmap.stiffness
         stiff = assemble_stiffness(dofmap).toarray()
         for block in (system.A, system.B, system.C):
             assert block.format == "csr" and block.has_canonical_format
@@ -329,11 +330,10 @@ class TestPhysicalGradients:
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("exactness", [2, 3, 4, 5, 6])
     def test_equal_to_the_einsum(self, degree, exactness):
-        basis = ReferenceBasis(degree)
+        rule = triangle_quadrature(exactness)
+        grads = ReferenceBasis(degree).gradients(rule.points)
         for mesh in mesh_hierarchy((0.1, 1.3, 0.2, 0.9), 4):
-            dofmap = DofMap(mesh, degree)
-            rule, _, inv_t, _ = _cell_quadrature(dofmap, exactness)
-            grads = basis.gradients(rule.points)
+            _, _, _, inv_t = _cell_geometry(mesh)
             want = np.einsum("tab,nqb->tnqa", inv_t, grads)
             assert np.array_equal(_physical_gradients(inv_t, grads), want)
 

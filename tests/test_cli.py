@@ -261,6 +261,29 @@ class TestExitCodes:
         path.write_text("{oops")
         assert main(["verify", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("base", [[], {"a": 1}])
+    def test_non_string_preset_is_a_config_error(self, tmp_path, capsys,
+                                                 base):
+        config = write_config(tmp_path, {"problem": base})
+        assert main(["verify", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown problem preset"), err
+
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"problem": "example1", "f": "\xff"}')
+        assert main(["verify", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON"), err
+
+    def test_string_gradient_is_a_config_error(self, tmp_path, capsys):
+        exact = dict(problems.load_config("example1").exact, y_grad="12")
+        config = write_config(tmp_path, {"problem": "example1",
+                                         "exact": exact})
+        assert main(["verify", "--config", config]) == 2
+        assert "bad value for exact" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path):
         config = write_config(tmp_path, {"problem": "example1", "zap": 1})
         assert main(["verify", "--config", config]) == 2

@@ -30,11 +30,10 @@ UNIT = (0.0, 1.0, 0.0, 1.0)
 def toy_system():
     """3 unknowns (2 state dofs, 1 adjoint): full matrix
     [[2, 1, 0], [-1, 0, 2], [0, -2, 1]], rhs [1, 3, 4].  Solving by
-    hand gives Y = (1, -1), Z = (2,)."""
+    hand gives Y = (1, -1), Z = (2,).  K[1, 1] is never read."""
     return BlockSystem(
-        A=sp.csr_matrix(np.array([[2.0, 1.0]])),
+        K=sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 0.0]])),
         B=sp.csr_matrix(np.array([[-1.0, 0.0], [0.0, -2.0]])),
-        C=sp.csr_matrix(np.array([[2.0], [1.0]])),
         F=np.array([1.0]),
         G=np.array([3.0, 4.0]),
         interior=np.array([0]),
@@ -75,7 +74,7 @@ class TestSolveBlock:
 
     def test_zero_data_gives_zero_solution(self):
         system = example_system()
-        system = BlockSystem(A=system.A, B=system.B, C=system.C,
+        system = BlockSystem(K=system.K, B=system.B,
                              F=np.zeros_like(system.F),
                              G=np.zeros_like(system.G),
                              interior=system.interior,
@@ -190,7 +189,7 @@ class TestSolveBlock:
 
     def test_inconsistent_dimensions_rejected(self):
         system = toy_system()
-        bad = BlockSystem(A=system.A, B=system.B, C=system.C,
+        bad = BlockSystem(K=system.K, B=system.B,
                           F=np.array([1.0, 2.0]),  # wrong length
                           G=system.G, interior=system.interior,
                           boundary=system.boundary, coords=system.coords)
@@ -207,9 +206,8 @@ class TestSolveBlock:
         inv_n = np.argsort(perm_n)
 
         permuted = BlockSystem(
-            A=sp.csr_matrix(system.A.toarray()[perm_i][:, perm_n]),
+            K=sp.csr_matrix(system.K.toarray()[perm_n][:, perm_n]),
             B=sp.csr_matrix(system.B.toarray()[perm_n][:, perm_n]),
-            C=sp.csr_matrix(system.C.toarray()[perm_n][:, perm_i]),
             F=system.F[perm_i],
             G=system.G[perm_n],
             interior=inv_n[system.interior[perm_i]],
@@ -379,9 +377,11 @@ class TestInteriorSolver:
         assert not isinstance(_interior_solver(K, xy), _SineSolver)
         system = example_system(level=3)
         I = system.interior
-        C = system.C.tolil()
-        C[I] = perturbed(C[I])
-        system = BlockSystem(A=system.A, B=system.B, C=C.tocsr(),
+        K_II = system.K[I][:, I].tocoo()
+        e = np.flatnonzero(K_II.row != K_II.col)[0]
+        K = system.K.copy()           # system.K is the DofMap's own
+        K[I[K_II.row[e]], I[K_II.col[e]]] += 1e-8
+        system = BlockSystem(K=K, B=system.B,
                              F=system.F, G=system.G, interior=I,
                              boundary=system.boundary, coords=system.coords)
         stats = {}

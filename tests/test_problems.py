@@ -165,6 +165,10 @@ class TestValidation:
         *WRONG_TYPES,
         ({"exact": {"y": "x1", "yy": "x1"}}, "unknown exact entries: yy"),
         ({"exact": {"y_grd": "x1"}}, "unknown exact entries: y_grd"),
+        # a string would otherwise be the pair of its two characters
+        ({"exact": {"y": "x1", "y_grad": "12"}}, "bad value for exact"),
+        ({"exact": {"y": "x1", "y_grad": [1, 2]}},
+         "bad expression for y_grad: 1 is not a string"),
     ])
     def test_bad_field_rejected(self, tmp_path, patch, match):
         payload = dict(MINIMAL, **patch)
@@ -215,9 +219,11 @@ class TestValidation:
         ("degree", True),
         ("gamma", False),
         ("domain", "0101"),
+        ("exact", dict(load_config("example1").exact, y_grad="12")),
     ])
     def test_replace_rejects_values_it_would_truncate(self, key, value):
-        # int() truncates 1.5, True passes as 1, and "0101" iterates
+        # int() truncates 1.5, True passes as 1, and "0101" and "12"
+        # iterate
         with pytest.raises(ConfigError, match="bad value for %s" % key):
             dataclasses.replace(load_config("example1"), **{key: value})
 

@@ -1,0 +1,30 @@
+"""The shipped scripts against the benchmark's golden outputs."""
+
+import importlib.util
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_script(name):
+    path = os.path.join(ROOT, "scripts", name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_make_tables_writes_the_golden_tables(tmp_path):
+    # perfbench/workloads.py keeps its own copy of the four studies, so
+    # that an edit to the script cannot change the benchmark; this ties
+    # the two copies together through their outputs
+    golden = os.path.join(ROOT, "perfbench", "golden", "tables")
+    assert load_script("make_tables").main(["--out-dir", str(tmp_path)]) == 0
+    names = sorted(os.listdir(golden))
+    assert names == ["energy.csv", "l2.csv", "singular.csv",
+                     "small-gamma.csv"]
+    assert sorted(os.listdir(tmp_path)) == names
+    for name in names:
+        with open(os.path.join(golden, name), "rb") as fh:
+            want = fh.read()
+        assert (tmp_path / name).read_bytes() == want, name
