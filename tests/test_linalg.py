@@ -176,6 +176,27 @@ class TestSolveBlock:
         assert set(stats) == {"iterations", "interior", "fill", "residual",
                               "galerkin", "adjoint"}
 
+    def test_extended_casts_do_not_grow_with_the_sweeps(self, monkeypatch):
+        # one 80-bit residual map for the sweeps and one for the gate,
+        # each casting K and B once, however many sweeps run
+        spec = dataclasses.replace(load_config("example1"), degree=2)
+        system = build_block_system(
+            DofMap(mesh_hierarchy(spec.domain, 4)[-1], 2), spec.gamma,
+            spec.field(spec.f), spec.field(spec.y_d))
+        casts = []
+        original = sp.csr_matrix.astype
+
+        def counting(self, dtype, *args, **kwargs):
+            if np.dtype(dtype) == np.longdouble:
+                casts.append(1)
+            return original(self, dtype, *args, **kwargs)
+
+        monkeypatch.setattr(sp.csr_matrix, "astype", counting)
+        stats = {}
+        solve_block(system, SolverConfig(spec.solver_tolerance), stats=stats)
+        assert len(stats["iterations"]) >= 2, stats
+        assert len(casts) <= 4, stats
+
     def test_iteration_limit_raises(self, monkeypatch):
         monkeypatch.setattr(linalg, "_MAX_CG_ITERATIONS", 2)
         system = example_system(level=4, gamma=0.01)
