@@ -16,7 +16,8 @@ import argparse
 import dataclasses
 import sys
 
-from dbcfem import load_config, solve_level, verify_discrete_stability
+from dbcfem import (ConfigError, load_config, solve_level,
+                    verify_discrete_stability)
 
 
 def main(argv=None):
@@ -32,22 +33,26 @@ def main(argv=None):
     if first < 0 or last < first:
         parser.error("levels must satisfy 0 <= FIRST <= LAST")
 
-    for preset in ("example1", "example2"):
-        base = load_config(preset)
-        for gamma in args.gammas:
-            spec = dataclasses.replace(base, gamma=gamma)
-            states, traces = [], []
-            print("%s  gamma=%g" % (preset, gamma))
-            print("  level   state norm   trace seminorm")
-            for level in range(first, last + 1):
-                sol = solve_level(spec, level)
-                state, trace = verify_discrete_stability(sol.y, gamma)
-                states.append(state)
-                traces.append(trace)
-                print("  %5d   %10.6f   %14.6f" % (level, state, trace))
-            print("  spread  %10.6f   %14.6f"
-                  % (max(states) / min(states), max(traces) / min(traces)))
-            print()
+    try:
+        specs = [dataclasses.replace(load_config(preset), gamma=gamma)
+                 for preset in ("example1", "example2")
+                 for gamma in args.gammas]
+    except ConfigError as err:
+        parser.error(str(err))
+
+    for spec in specs:
+        states, traces = [], []
+        print("%s  gamma=%g" % (spec.name, spec.gamma))
+        print("  level   state norm   trace seminorm")
+        for level in range(first, last + 1):
+            sol = solve_level(spec, level)
+            state, trace = verify_discrete_stability(sol.y, spec.gamma)
+            states.append(state)
+            traces.append(trace)
+            print("  %5d   %10.6f   %14.6f" % (level, state, trace))
+        print("  spread  %10.6f   %14.6f"
+              % (max(states) / min(states), max(traces) / min(traces)))
+        print()
     return 0
 
 

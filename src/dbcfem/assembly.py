@@ -145,12 +145,11 @@ def _edge_points(a, b, t):
     return a[:, None, :] + np.asarray(t)[None, :, None] * (b - a)[:, None, :]
 
 
-def _edge_quadrature(dofmap, exactness=None):
-    """Segment rule (default exactness 2k+2), boundary edge lengths and
-    the physical quadrature points (nbe, nq, 2) on the boundary edges.
+def _edge_quadrature(dofmap):
+    """Segment rule of exactness 2k+2, boundary edge lengths and the
+    physical quadrature points (nbe, nq, 2) on the boundary edges.
     """
-    rule = segment_quadrature(2 * dofmap.degree + 2 if exactness is None
-                              else exactness)
+    rule = segment_quadrature(2 * dofmap.degree + 2)
     a, b, lengths = _boundary_geometry(dofmap)
     return rule, lengths, _edge_points(a, b, rule.points)
 
@@ -209,7 +208,8 @@ def assemble_boundary_mass(dofmap):
 
     Rows and columns of interior dofs are identically zero.
     """
-    rule, lengths, _ = _edge_quadrature(dofmap, 2 * dofmap.degree)
+    rule = segment_quadrature(2 * dofmap.degree)
+    lengths = _boundary_geometry(dofmap)[2]
     vals = _trace_values(dofmap.degree, rule.points)  # (nd, nq)
     local = np.einsum("q,e,nq,mq->enm", rule.weights, lengths, vals, vals)
     return _scatter(dofmap.edge_dofs, local, dofmap.num_dofs)
@@ -239,7 +239,7 @@ class BlockSystem:
     B        -- N x N, equal to -(M + gamma * M_Gamma)
     F, G     -- load vectors of length |I| and N
     interior -- the Z (and test-row) index set I into 0..N
-    boundary -- complement of I
+    boundary -- the sorted complement of I, derived on each access
     coords   -- N x 2 node coordinates of the dofs; they let the solver
                 recognize the 5-point interior stiffness and order the
                 factorization of any other
@@ -250,11 +250,12 @@ class BlockSystem:
     F: np.ndarray
     G: np.ndarray
     interior: np.ndarray
-    boundary: np.ndarray
     coords: np.ndarray
 
     A = property(lambda self: self.K[self.interior, :])
     C = property(lambda self: self.K[:, self.interior])
+    boundary = property(lambda self: np.flatnonzero(np.bincount(
+        self.interior, minlength=self.num_dofs) == 0))
 
     @property
     def num_dofs(self):
@@ -285,5 +286,4 @@ def build_block_system(dofmap, gamma, f, y_d):
     F = assemble_load(dofmap, f)[dofmap.interior]
     G = -assemble_load(dofmap, y_d)
     return BlockSystem(K=dofmap.stiffness, B=B, F=F, G=G,
-                       interior=dofmap.interior, boundary=dofmap.boundary,
-                       coords=dofmap.coords)
+                       interior=dofmap.interior, coords=dofmap.coords)

@@ -16,7 +16,9 @@ rows, K_II Z = G_I - (B Y)_I.  When K_II is the 5-point Laplacian of a
 uniform grid (P1 on the rectangle meshes), type-I sine transforms
 diagonalize it.  Any other K_II is factored with splu in a
 nested-dissection order built from the node coordinates, with each
-separator read off K_II's sparsity pattern.
+separator read off K_II's sparsity pattern.  A solve sets up once the
+K_II solve, the stop threshold of CG and the sweeps, and their 80-bit
+residual map.
 """
 
 import logging
@@ -44,10 +46,11 @@ class SolverConfig:
                              % (self.tolerance,))
 
 
-def _residual_vector(system, x):
-    """[F - A·Y; G - B·Y - C·Z] at x = [Y; Z], accumulated block by
-    block in 80-bit precision, so the coupled matrix is never formed.
-    A·Y = (K·Y)[I], and C·Z = K·Z with Z zero-extended to N dofs.
+def _extended_residual(system):
+    """The map x = [Y; Z] -> [F - A·Y; G - B·Y - C·Z], accumulated block
+    by block in 80-bit precision, so the coupled matrix is never formed.
+    A·Y = (K·Y)[I], and C·Z = K·Z with Z zero-extended to N dofs.  K, B,
+    F and G are cast once, when the map is built.
 
     In plain double arithmetic the computed residual of a good solution
     is dominated by rounding in the matrix-vector products themselves,
@@ -57,12 +60,16 @@ def _residual_vector(system, x):
     extended accumulation pushes it out of the way.
     """
     ld = np.longdouble
-    n = system.num_dofs
-    K, Y, Z = system.K.astype(ld), x[:n].astype(ld), np.zeros(n, dtype=ld)
-    Z[system.interior] = x[n:]
-    top = system.F.astype(ld) - (K @ Y)[system.interior]
-    bottom = system.G.astype(ld) - system.B.astype(ld) @ Y - K @ Z
-    return np.concatenate([top, bottom])
+    I, n = system.interior, system.num_dofs
+    K, B = system.K.astype(ld), system.B.astype(ld)
+    F, G = system.F.astype(ld), system.G.astype(ld)
+
+    def residual_of(x):
+        Y, Z = x[:n].astype(ld), np.zeros(n, dtype=ld)
+        Z[I] = x[n:]
+        return np.concatenate([F - (K @ Y)[I], G - B @ Y - K @ Z])
+
+    return residual_of
 
 
 def _norm_ratio(r, b):
@@ -72,20 +79,19 @@ def _norm_ratio(r, b):
     return rnorm / bnorm if bnorm != 0.0 else rnorm
 
 
-def _refine(system, x, apply_inverse, tolerance):
-    """Up to three refinement sweeps, until the residual clears the gate
-    or a sweep does not lower it; returns the iterate with the smallest
-    residual and that residual vector.  A solution at the floor of double
-    precision cannot improve, so further sweeps would repeat the work.
+def _refine(x, residual_of, apply_inverse, atol):
+    """Up to three refinement sweeps, until the residual norm is at most
+    atol or a sweep does not lower it; returns the best iterate and its
+    residual vector.  A solution at the floor of double precision cannot
+    improve, so further sweeps would repeat the work.
     """
-    bnorm = np.linalg.norm(system.rhs())
-    r = _residual_vector(system, x)
+    r = residual_of(x)
     rnorm = float(np.linalg.norm(r.astype(np.float64)))
     for _ in range(3):
-        if rnorm <= 0.25 * tolerance * bnorm:
+        if rnorm <= atol:
             break
         x_new = x + apply_inverse(r.astype(np.float64))
-        r_new = _residual_vector(system, x_new)
+        r_new = residual_of(x_new)
         rnorm_new = float(np.linalg.norm(r_new.astype(np.float64)))
         if not rnorm_new < rnorm:
             break
@@ -99,29 +105,6 @@ def _factor(matrix, what, **options):
     except RuntimeError as err:
         raise SolverError("factorization of the %s failed (%s); for gamma "
                           "> 0 it should never be singular" % (what, err))
-
-
-class _SineSolver:
-    """Solves with a·T_m⊗I_n + b·I_m⊗T_n, T = tridiag(-1, 2, -1), whose
-    rows are ordered by `cell` (the row-major grid position of each
-    row).  The orthonormal type-I DST diagonalizes T, so a solve is two
-    transforms and one division (Buzbee, Golub & Nielson, 1970).
-    """
-
-    def __init__(self, cell, shape, a, b):
-        from scipy.fft import dstn  # only this path needs scipy.fft
-        self._dstn, self._cell, self._shape = dstn, cell, shape
-        m, n = shape
-        lam = lambda k: 4.0 * np.sin(0.5 * np.pi * np.arange(1, k + 1)
-                                     / (k + 1)) ** 2
-        self._eig = a * lam(m)[:, None] + b * lam(n)[None, :]
-
-    def solve(self, f):
-        grid = np.empty(len(self._cell))
-        grid[self._cell] = f
-        u = self._dstn(grid.reshape(self._shape), type=1, norm="ortho")
-        u = self._dstn(u / self._eig, type=1, norm="ortho")
-        return u.ravel()[self._cell]
 
 
 def _uniform_grid(xy):
@@ -206,32 +189,18 @@ def _dissection_order(K, xy):
     return np.argsort(part, kind="stable")
 
 
-class _DissectedLU:
-    """splu of K[p][:, p] in the given order p (no further column
-    permutation); .solve and .nnz act as those of a SuperLU of K.
-    """
-
-    def __init__(self, K, p):
-        self._p = p
-        self._lu = _factor(K[p][:, p], "interior stiffness",
-                           permc_spec="NATURAL")
-        self.nnz = self._lu.nnz
-
-    def solve(self, f):
-        x = np.empty(len(self._p))
-        x[self._p] = self._lu.solve(f[self._p])
-        return x
-
-
 def _interior_solver(K_II, xy):
-    """An object with .solve for the interior stiffness K_II, whose
-    rows belong to the interior node coordinates xy.
+    """(solve, record) for the interior stiffness K_II, whose rows
+    belong to the interior node coordinates xy: solve(f) = K_II^-1 f,
+    and record is {"interior": "dst"} or {"interior": "splu", "fill":
+    the entries SuperLU stores for the L and U factors}.
 
-    The sine-transform solver is taken only if K_II has at most five
-    entries per row, the nodes fill a uniform grid and K_II equals the
-    5-point operator on it to 1e-12 relative; the identity is checked
-    on every call, never assumed.  Otherwise K_II is factored with
-    splu in nested-dissection order.
+    The sine-transform solve is taken only if K_II has at most five
+    entries per row, the nodes fill a uniform m x n grid and K_II equals
+    a·T_m⊗I_n + b·I_m⊗T_n, T = tridiag(-1, 2, -1), to 1e-12 relative,
+    checked on every call; the orthonormal type-I DST diagonalizes T
+    (Buzbee, Golub & Nielson, 1970).  Otherwise K_II is factored with
+    splu in nested-dissection order, with no further column permutation.
     """
     grid = _uniform_grid(xy) if K_II.nnz <= 5 * K_II.shape[0] else None
     if grid is not None:
@@ -241,34 +210,50 @@ def _interior_solver(K_II, xy):
         L = (a * sp.kron(T(m), sp.identity(n))
              + b * sp.kron(sp.identity(m), T(n))).tocsr()[cell][:, cell]
         if abs(K_II - L).max() <= 1e-12 * abs(K_II).max():
-            return _SineSolver(cell, (m, n), a, b)
-    return _DissectedLU(K_II, _dissection_order(K_II, xy))
+            from scipy.fft import dstn  # only this path needs scipy.fft
+            lam = lambda k: 4.0 * np.sin(0.5 * np.pi * np.arange(1, k + 1)
+                                         / (k + 1)) ** 2
+            eig = a * lam(m)[:, None] + b * lam(n)[None, :]
+
+            def sine_solve(f):
+                u = np.empty(len(cell))
+                u[cell] = f
+                u = dstn(u.reshape(m, n), type=1, norm="ortho")
+                return dstn(u / eig, type=1, norm="ortho").ravel()[cell]
+
+            return sine_solve, {"interior": "dst"}
+    p = _dissection_order(K_II, xy)
+    lu = _factor(K_II[p][:, p], "interior stiffness", permc_spec="NATURAL")
+
+    def dissected_solve(f):
+        x = np.empty(len(p))
+        x[p] = lu.solve(f[p])
+        return x
+
+    return dissected_solve, {"interior": "splu", "fill": lu.nnz}
 
 
 def _reduced_solver(system, atol, stats):
     """apply_inverse of the full system through the reduced problem; CG
     stops once the reduced residual (= the boundary-row residual of the
-    full system) is below atol.  Writes the interior solver kind ("dst"
-    or "splu") to stats["interior"], the size of an splu factor to
-    stats["fill"], and appends each CG count to stats["iterations"].
+    full system) is below atol.  Copies the record of _interior_solver
+    into stats and appends each CG count to stats["iterations"].
     """
     I, Bnd, B, K = system.interior, system.boundary, system.B, system.K
     n, ni, nb = system.num_dofs, len(I), len(Bnd)
     # K_BI is not K_IB.T: the P2 stiffness is symmetric only to rounding
     K_IB, K_BI = K[I][:, Bnd], K[Bnd][:, I]
-    K_II = _interior_solver(K[I][:, I], system.coords[I])
-    stats["interior"] = "dst" if isinstance(K_II, _SineSolver) else "splu"
-    if stats["interior"] == "splu":
-        stats["fill"] = K_II.nnz
+    solve_II, record = _interior_solver(K[I][:, I], system.coords[I])
+    stats.update(record)
     precond = _factor(-B[Bnd][:, Bnd], "boundary mass")
 
     def extend(yB, Y):           # Y + E·yB, in place
-        Y[I] -= K_II.solve(K_IB @ yB)
+        Y[I] -= solve_II(K_IB @ yB)
         Y[Bnd] += yB
         return Y
 
     def restrict(w):             # Eᵀ·w
-        return w[Bnd] - K_BI @ K_II.solve(w[I])
+        return w[Bnd] - K_BI @ solve_II(w[I])
 
     H = LinearOperator((nb, nb), dtype=float,
                        matvec=lambda v: -restrict(B @ extend(v, np.zeros(n))))
@@ -277,7 +262,7 @@ def _reduced_solver(system, atol, stats):
     def apply_inverse(rhs):
         F, G = rhs[:ni], rhs[ni:]
         Y = np.zeros(n)
-        Y[I] = K_II.solve(F)
+        Y[I] = solve_II(F)
         steps = []
         yB, info = cg(H, restrict(B @ Y - G), rtol=0.0, atol=atol, M=M,
                       maxiter=_MAX_CG_ITERATIONS, callback=steps.append)
@@ -286,7 +271,7 @@ def _reduced_solver(system, atol, stats):
             raise SolverError("conjugate gradients did not converge in %d "
                               "iterations" % len(steps))
         Y = extend(yB, Y)
-        return np.concatenate([Y, K_II.solve(G[I] - (B @ Y)[I])])
+        return np.concatenate([Y, solve_II(G[I] - (B @ Y)[I])])
 
     return apply_inverse
 
@@ -320,9 +305,10 @@ def solve_block(system, config=None, stats=None):
     b = system.rhs()
     stats = {} if stats is None else stats
     stats.setdefault("iterations", [])
-    apply_inverse = _reduced_solver(  # atol: where _refine stops
-        system, 0.25 * config.tolerance * np.linalg.norm(b), stats)
-    x, r = _refine(system, apply_inverse(b), apply_inverse, config.tolerance)
+    atol = 0.25 * config.tolerance * np.linalg.norm(b)  # CG and _refine
+    apply_inverse = _reduced_solver(system, atol, stats)
+    x, r = _refine(apply_inverse(b), _extended_residual(system),
+                   apply_inverse, atol)
     ni = len(system.F)
     stats["galerkin"] = _norm_ratio(r[:ni], system.F)
     stats["adjoint"] = _norm_ratio(r[ni:], system.G)
@@ -338,5 +324,5 @@ def solve_block(system, config=None, stats=None):
 
 def residual(system, Y, Z):
     """Relative residual of the full coupled system at (Y, Z)."""
-    return _norm_ratio(_residual_vector(system, np.concatenate([Y, Z])),
+    return _norm_ratio(_extended_residual(system)(np.concatenate([Y, Z])),
                        system.rhs())

@@ -69,9 +69,9 @@ def _column(entry):
 
 
 def _real(v):
-    """float(v), refusing the bools that float() would take."""
-    if isinstance(v, (bool, np.bool_)):
-        raise TypeError("expected a number, got %r" % (v,))
+    """float(v) of a finite number, refusing the bools that float() takes."""
+    if isinstance(v, (bool, np.bool_)) or not np.isfinite(float(v)):
+        raise ValueError("expected a finite number, got %r" % (v,))
     return float(v)
 
 

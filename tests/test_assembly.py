@@ -206,6 +206,16 @@ class TestBlockSystem:
         assert system.full().shape == (n + ni, n + ni)
         assert system.rhs().shape == (n + ni,)
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_boundary_is_the_dofmap_boundary(self, degree):
+        # derived from interior on access, in the DofMap's sorted order
+        dofmap = DofMap(refine_uniform(refine_uniform(
+            make_initial_mesh(UNIT))), degree)
+        system = build_block_system(dofmap, 1.0, lambda x1, x2: 0 * x1,
+                                    lambda x1, x2: 0 * x1)
+        assert np.array_equal(system.boundary, dofmap.boundary)
+        assert system.boundary.dtype == dofmap.boundary.dtype
+
     def test_zero_data_gives_zero_rhs(self):
         dofmap = DofMap(refine_uniform(make_initial_mesh(UNIT)), 1)
         system = build_block_system(dofmap, 2.0,

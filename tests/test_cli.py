@@ -18,7 +18,7 @@ from dbcfem.assembly import DofMap, build_block_system
 from dbcfem.cli import main
 from dbcfem.mesh import mesh_hierarchy
 
-from test_problems import WRONG_TYPES
+from test_problems import NON_FINITE, WRONG_TYPES
 
 
 def write_config(tmp_path, payload, name="case.json"):
@@ -307,7 +307,7 @@ class TestExitCodes:
         assert "unknown config keys" in capsys.readouterr().err
 
     def test_wrong_type_values_are_config_errors(self, tmp_path, capsys):
-        for patch, _ in WRONG_TYPES:
+        for patch, _ in WRONG_TYPES + NON_FINITE:
             config = write_config(tmp_path, {"problem": "example1", **patch})
             assert main(["verify", "--config", config]) == 2, patch
             err = capsys.readouterr().err

@@ -18,7 +18,7 @@ from scipy.io import mmread, mmwrite
 import dbcfem.linalg as linalg
 from dbcfem.assembly import BlockSystem, DofMap, build_block_system
 from dbcfem.linalg import (SolverConfig, SolverError, _interior_solver,
-                           _SineSolver, _uniform_grid, residual, solve_block)
+                           _uniform_grid, residual, solve_block)
 from dbcfem.mesh import make_initial_mesh, mesh_hierarchy, refine_uniform
 from dbcfem.problems import load_config
 
@@ -37,7 +37,6 @@ def toy_system():
         F=np.array([1.0]),
         G=np.array([3.0, 4.0]),
         interior=np.array([0]),
-        boundary=np.array([1]),
         coords=np.array([[0.5, 0.5], [0.0, 0.0]]))
 
 
@@ -78,7 +77,6 @@ class TestSolveBlock:
                              F=np.zeros_like(system.F),
                              G=np.zeros_like(system.G),
                              interior=system.interior,
-                             boundary=system.boundary,
                              coords=system.coords)
         Y, Z = solve_block(system)
         assert np.abs(Y).max() == 0.0
@@ -139,7 +137,7 @@ class TestSolveBlock:
         noise = 1e-6 * np.random.default_rng(3).standard_normal(len(Y))
         x = np.concatenate([Y + noise, Z])
         want = rhs.astype(np.longdouble) - full @ x.astype(np.longdouble)
-        got = linalg._residual_vector(system, x)
+        got = linalg._extended_residual(system)(x)
         ni = len(system.F)
         for block in (slice(0, ni), slice(ni, None)):
             assert (np.linalg.norm((got[block] - want[block]).astype(float))
@@ -153,7 +151,7 @@ class TestSolveBlock:
         system = example_system(level=3, degree=degree)
         stats = {}
         Y, Z = solve_block(system, stats=stats)
-        r = linalg._residual_vector(system, np.concatenate([Y, Z]))
+        r = linalg._extended_residual(system)(np.concatenate([Y, Z]))
         ni = len(system.F)
         assert stats["galerkin"] == linalg._norm_ratio(r[:ni], system.F)
         assert stats["adjoint"] == linalg._norm_ratio(r[ni:], system.G)
@@ -213,7 +211,7 @@ class TestSolveBlock:
         bad = BlockSystem(K=system.K, B=system.B,
                           F=np.array([1.0, 2.0]),  # wrong length
                           G=system.G, interior=system.interior,
-                          boundary=system.boundary, coords=system.coords)
+                          coords=system.coords)
         with pytest.raises(ValueError):
             solve_block(bad)
 
@@ -232,7 +230,6 @@ class TestSolveBlock:
             F=system.F[perm_i],
             G=system.G[perm_n],
             interior=inv_n[system.interior[perm_i]],
-            boundary=inv_n[system.boundary],
             coords=system.coords[perm_n])
 
         Y, Z = solve_block(system)
@@ -373,7 +370,7 @@ class TestInteriorSolver:
                  + hx / hy * sp.kron(sp.identity(m), T(n))).tocsr()
             L = L[ix * n + iy][:, ix * n + iy]
             assert abs(K - L).max() <= 1e-12 * abs(K).max(), level
-            assert isinstance(_interior_solver(K, xy), _SineSolver), level
+            assert _interior_solver(K, xy)[1]["interior"] == "dst", level
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_p2_takes_splu(self, level):
@@ -381,7 +378,7 @@ class TestInteriorSolver:
         # and K_II has at most five entries per row; only the operator
         # identity rejects it
         K, xy = interior_block(RECTANGLES[0], level, degree=2)
-        assert not isinstance(_interior_solver(K, xy), _SineSolver)
+        assert _interior_solver(K, xy)[1]["interior"] == "splu"
         stats = {}
         solve_block(example_system(level=level, degree=2), stats=stats)
         assert stats["interior"] == "splu"
@@ -395,7 +392,7 @@ class TestInteriorSolver:
         K, xy = interior_block(RECTANGLES[1], 3)
         K = perturbed(K)
         assert K.nnz <= 5 * K.shape[0]
-        assert not isinstance(_interior_solver(K, xy), _SineSolver)
+        assert _interior_solver(K, xy)[1]["interior"] == "splu"
         system = example_system(level=3)
         I = system.interior
         K_II = system.K[I][:, I].tocoo()
@@ -404,7 +401,7 @@ class TestInteriorSolver:
         K[I[K_II.row[e]], I[K_II.col[e]]] += 1e-8
         system = BlockSystem(K=K, B=system.B,
                              F=system.F, G=system.G, interior=I,
-                             boundary=system.boundary, coords=system.coords)
+                             coords=system.coords)
         stats = {}
         solve_block(system, stats=stats)
         assert stats["interior"] == "splu"
@@ -424,7 +421,7 @@ class TestInteriorSolver:
         K, xy = interior_block(rect, 5)
         f = np.random.default_rng(11).standard_normal(K.shape[0])
         want = linalg._factor(K, "test").solve(f)
-        got = _interior_solver(K, xy).solve(f)
+        got = _interior_solver(K, xy)[0](f)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("degree,calls", [(1, 1), (2, 2)])
@@ -516,14 +513,14 @@ class TestDissectionOrder:
         K, xy = p2_block(rect, level)
         f = np.random.default_rng(13).standard_normal(K.shape[0])
         want = linalg._factor(K, "test").solve(f)
-        got = _interior_solver(K, xy).solve(f)
+        got = _interior_solver(K, xy)[0](f)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_fill_below_colamd(self):
         # measured: 1,162,718 entries against COLAMD's 2,496,400; COLAMD
         # on top of the dissection order keeps about COLAMD's fill
         K, xy = p2_block(RECTANGLES[0], 5)
-        nd = _interior_solver(K, xy).nnz
+        nd = _interior_solver(K, xy)[1]["fill"]
         assert nd < 0.6 * linalg._factor(K, "test").nnz
 
 

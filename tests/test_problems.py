@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +19,8 @@ from dbcfem import (
 from dbcfem.analysis import interpolate
 from dbcfem.assembly import DofMap
 from dbcfem.mesh import mesh_hierarchy
-from dbcfem.problems import NORMS, _errors_exact, _matrix_norms, config_hash
+from dbcfem.problems import (NORMS, ProblemSpec, _errors_exact, _matrix_norms,
+                             config_hash)
 
 MINIMAL = {
     "domain": [0.0, 1.0, 0.0, 1.0],
@@ -46,6 +49,14 @@ WRONG_TYPES = [
     ({"constants": {"s": "abc"}}, "bad value for constants"),
     ({"levels": [0, float("inf")]}, "bad value for levels"),
     ({"columns": [["l2_y", "false"]]}, "bad value for columns"),
+]
+
+# numbers that JSON reads (Infinity, NaN, 1e400) but a config refuses;
+# kept apart from WRONG_TYPES so that the parametrized ids after it stay
+NON_FINITE = [
+    ({"domain": [0, float("inf"), 0, 1]}, "bad value for domain"),
+    ({"gamma": float("inf")}, "bad value for gamma"),
+    ({"constants": {"s": float("nan")}}, "bad value for constants"),
 ]
 
 
@@ -169,6 +180,7 @@ class TestValidation:
         ({"exact": {"y": "x1", "y_grad": "12"}}, "bad value for exact"),
         ({"exact": {"y": "x1", "y_grad": [1, 2]}},
          "bad expression for y_grad: 1 is not a string"),
+        *NON_FINITE,
     ])
     def test_bad_field_rejected(self, tmp_path, patch, match):
         payload = dict(MINIMAL, **patch)
@@ -233,6 +245,18 @@ class TestValidation:
         payload["exact"] = {"y_grad": ["x1"]}
         with pytest.raises(ConfigError, match="two components"):
             load_config(write_config(tmp_path, payload))
+
+    def test_config_docs_list_exactly_the_config_keys(self):
+        # only the "## Keys" table: the exact table below it lists y, u, ...
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "docs", "config.md"),
+                  encoding="utf-8") as fh:
+            text = fh.read()
+        section = text.split("\n## Keys\n", 1)[1].split("\n#", 1)[0]
+        documented = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+        schema = {f.name for f in dataclasses.fields(ProblemSpec)}
+        assert len(documented) == len(set(documented))
+        assert set(documented) == schema - {"name"} | {"problem"}
 
 
 class TestConfigHash:

@@ -1,7 +1,9 @@
-"""The shipped scripts against the benchmark's golden outputs."""
+"""The shipped scripts: outputs against the golden files, bad arguments."""
 
 import importlib.util
 import os
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,3 +30,12 @@ def test_make_tables_writes_the_golden_tables(tmp_path):
         with open(os.path.join(golden, name), "rb") as fh:
             want = fh.read()
         assert (tmp_path / name).read_bytes() == want, name
+
+
+@pytest.mark.parametrize("gamma", ["-1", "0", "nan", "inf"])
+def test_stability_report_rejects_a_bad_gamma(capsys, gamma):
+    with pytest.raises(SystemExit) as exc:
+        load_script("stability_report").main(["--gammas", "1", gamma])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "gamma" in err and "Traceback" not in err
