@@ -40,8 +40,10 @@ class DofMap:
     append one dof per mesh edge.  `boundary` and `interior` are sorted
     index arrays partitioning range(N); boundary dofs are exactly those
     whose nodes lie on the rectangle boundary.  The N x N operators
-    `stiffness`, `mass` and `boundary_mass` are assembled on first use
-    and then shared by every consumer of the map.
+    `stiffness`, `mass` and `boundary_mass`, and the `cell_geometry`
+    that the stiffness, the mass, the loads and the error norms read,
+    are built on first use and then shared by every consumer of the
+    map.
     """
 
     def __init__(self, mesh, degree=1):
@@ -67,6 +69,10 @@ class DofMap:
         mask = np.ones(self.num_dofs, dtype=bool)
         mask[self.boundary] = False
         self.interior = np.flatnonzero(mask).astype(np.int64)
+
+    @cached_property
+    def cell_geometry(self):
+        return _cell_geometry(self.mesh)
 
     @cached_property
     def stiffness(self):
@@ -97,12 +103,15 @@ def _cell_geometry(mesh):
 
 def _cell_quadrature(dofmap):
     """Triangle rule of exactness 2k+2, per-cell det and inverse
-    transpose Jacobian, and the physical quadrature points (nt, nq, 2).
+    transpose Jacobian, and the physical quadrature points (nt, nq, 2),
+    stored one coordinate after the other, so that _sample passes each
+    coordinate on without a copy.
     """
     rule = triangle_quadrature(2 * dofmap.degree + 2)
-    origin, jac, det, inv_t = _cell_geometry(dofmap.mesh)
-    pts = origin[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points,
-                                         optimize=True)
+    origin, jac, det, inv_t = dofmap.cell_geometry
+    pts = np.empty((2, len(det), len(rule.points))).transpose(1, 2, 0)
+    np.einsum("tab,qb->tqa", jac, rule.points, out=pts, optimize=True)
+    pts += origin[:, None, :]
     return rule, det, inv_t, pts
 
 
@@ -157,8 +166,11 @@ def _edge_quadrature(dofmap):
 def _scatter(dofs, local, n):
     """n x n CSR matrix summing the local matrices local[e] on the rows
     and columns dofs[e]; sorted columns, no explicit zeros.  tocsr()
-    already sums the duplicates and sorts the columns."""
+    already sums the duplicates and sorts the columns.  The row and
+    column arrays are int32, the index type scipy would cast them to,
+    whenever n allows it."""
     nd = dofs.shape[1]
+    dofs = dofs.astype(np.int32 if n < 2 ** 31 else np.int64)
     rows = np.repeat(dofs, nd, axis=1).ravel()
     cols = np.tile(dofs, (1, nd)).ravel()
     m = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
@@ -166,10 +178,10 @@ def _scatter(dofs, local, n):
     return m
 
 
-def _metric(mesh):
-    """det J^-1 J^-T = adj(J) adj(J)^T / det per cell, as (nt, 4) rows.
-    The geometry is freed on return, before the scatter sets the peak."""
-    _, jac, det, _ = _cell_geometry(mesh)
+def _metric(dofmap):
+    """det J^-1 J^-T = adj(J) adj(J)^T / det per cell, as (nt, 4) rows,
+    from the DofMap's cell geometry."""
+    _, jac, det, _ = dofmap.cell_geometry
     a, b, c, d = jac.reshape(-1, 4).T
     off = -(a * b + c * d)
     rows = np.column_stack([b * b + d * d, off, off, a * a + c * c])
@@ -183,7 +195,7 @@ def assemble_stiffness(dofmap):
     rule = triangle_quadrature(2 * dofmap.degree)
     grads = ReferenceBasis(dofmap.degree).gradients(rule.points)
     ref = np.einsum("q,nqa,mqb->abnm", rule.weights, grads, grads)
-    local = _metric(dofmap.mesh) @ ref.reshape(4, -1)
+    local = _metric(dofmap) @ ref.reshape(4, -1)
     return _scatter(dofmap.cell_dofs, local, dofmap.num_dofs)
 
 
@@ -191,7 +203,7 @@ def assemble_mass(dofmap):
     """N x N matrix with entries (phi_j, phi_i) over the domain."""
     rule = triangle_quadrature(2 * dofmap.degree)
     vals = ReferenceBasis(dofmap.degree).values(rule.points)  # (nd, nq)
-    _, _, det, _ = _cell_geometry(dofmap.mesh)
+    _, _, det, _ = dofmap.cell_geometry
     local = det[:, None, None] * np.einsum("q,nq,mq->nm", rule.weights,
                                            vals, vals)
     return _scatter(dofmap.cell_dofs, local, dofmap.num_dofs)
@@ -220,8 +232,12 @@ def assemble_load(dofmap, g):
 
     The quadrature exactness is 2k+2 so that, for instance, a
     quadratic g against a linear basis is integrated exactly.  Each
-    cell's entries are det * (g at its points) @ (w * phi)^T.
+    cell's entries are det * (g at its points) @ (w * phi)^T.  A g
+    whose parse tree (see ProblemSpec.field) is the constant 0 gives
+    exact zeros, with no quadrature.
     """
+    if getattr(g, "tree", None) == ("num", 0.0):
+        return np.zeros(dofmap.num_dofs)
     rule, det, _, pts = _cell_quadrature(dofmap)
     weighted = ReferenceBasis(dofmap.degree).values(rule.points) * rule.weights
     contrib = _sample(g, pts) @ weighted.T

@@ -13,12 +13,12 @@ leaves one system for Y_B alone,
 solved by CG preconditioned with -B_BB = M_BB + gamma M_Gamma,BB; each
 product with H costs two solves with K_II.  Z follows from the interior
 rows, K_II Z = G_I - (B Y)_I.  When K_II is the 5-point Laplacian of a
-uniform grid (P1 on the rectangle meshes), type-I sine transforms
-diagonalize it.  Any other K_II is factored with splu in a
-nested-dissection order built from the node coordinates, with each
-separator read off K_II's sparsity pattern.  A solve sets up once the
-K_II solve, the stop threshold of CG and the sweeps, and their 80-bit
-residual map.
+uniform grid (P1 on the rectangle meshes), as checked entry by entry
+against the stencil, type-I sine transforms diagonalize it.  Any other
+K_II is factored with splu in a nested-dissection order built from the
+node coordinates, with each separator read off K_II's sparsity
+pattern.  A solve sets up once the K_II solve, the stop threshold of
+CG and the sweeps, and their 80-bit residual map.
 """
 
 import logging
@@ -199,17 +199,28 @@ def _interior_solver(K_II, xy):
     entries per row, the nodes fill a uniform m x n grid and K_II equals
     a·T_m⊗I_n + b·I_m⊗T_n, T = tridiag(-1, 2, -1), to 1e-12 relative,
     checked on every call; the orthonormal type-I DST diagonalizes T
-    (Buzbee, Golub & Nielson, 1970).  Otherwise K_II is factored with
-    splu in nested-dissection order, with no further column permutation.
+    (Buzbee, Golub & Nielson, 1970).  The check reads K_II's own stored
+    entries: each must lie at a grid offset of the 5-point stencil and
+    hold its value there (2(a+b) on the diagonal, -a one step in x, -b
+    one step in y), and they must fill each stencil position of the
+    grid once.  Otherwise K_II is factored with splu in
+    nested-dissection order, with no further column permutation.
     """
     grid = _uniform_grid(xy) if K_II.nnz <= 5 * K_II.shape[0] else None
     if grid is not None:
         cell, (m, n), (hx, hy) = grid
         a, b = hy / hx, hx / hy
-        T = lambda k: sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
-        L = (a * sp.kron(T(m), sp.identity(n))
-             + b * sp.kron(sp.identity(m), T(n))).tocsr()[cell][:, cell]
-        if abs(K_II - L).max() <= 1e-12 * abs(K_II).max():
+        E = K_II.tocoo()
+        ix, iy = np.divmod(cell, n)
+        dx, dy = ix[E.col] - ix[E.row], iy[E.col] - iy[E.row]
+        stencil = np.where(dx != 0, -a, np.where(dy != 0, -b, 2 * (a + b)))
+        count = m * n + 2 * (m - 1) * n + 2 * m * (n - 1)
+        if ((np.abs(dx) + np.abs(dy) <= 1).all() and E.nnz == count
+                # no stencil position stored twice
+                and np.count_nonzero(np.bincount(5 * E.row + 2 * dx + dy
+                                                 + 2)) == count
+                and (np.abs(E.data - stencil).max()
+                     <= 1e-12 * np.abs(E.data).max())):
             from scipy.fft import dstn  # only this path needs scipy.fft
             lam = lambda k: 4.0 * np.sin(0.5 * np.pi * np.arange(1, k + 1)
                                          / (k + 1)) ** 2

@@ -244,30 +244,29 @@ def export_vtk(mesh, fields=(), names=None):
     if names is None:
         names = ["field_%d" % i for i in range(len(fields))]
 
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "dbcfem level %d mesh" % mesh.level,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        "POINTS %d double" % nv,
+    # one format per section over Python scalars from tolist(), which
+    # prints exactly what a format per line would
+    parts = [
+        "# vtk DataFile Version 3.0\n",
+        "dbcfem level %d mesh\n" % mesh.level,
+        "ASCII\n",
+        "DATASET UNSTRUCTURED_GRID\n",
+        "POINTS %d double\n" % nv,
+        "%.17g %.17g 0\n" * nv % tuple(mesh.vertices.ravel().tolist()),
+        "CELLS %d %d\n" % (nt, 4 * nt),
+        "3 %d %d %d\n" * nt % tuple(mesh.triangles.ravel().tolist()),
+        "CELL_TYPES %d\n" % nt,
+        "5\n" * nt,
     ]
-    # tolist() formats Python scalars, several times faster than numpy's
-    lines.extend("%.17g %.17g 0" % (x, y) for x, y in mesh.vertices.tolist())
-    lines.append("CELLS %d %d" % (nt, 4 * nt))
-    lines.extend("3 %d %d %d" % (a, b, c)
-                 for a, b, c in mesh.triangles.tolist())
-    lines.append("CELL_TYPES %d" % nt)
-    lines.extend(["5"] * nt)
 
     if fields:
-        lines.append("POINT_DATA %d" % nv)
+        parts.append("POINT_DATA %d\n" % nv)
         for name, f in zip(names, fields):
             if f.dofmap.mesh.num_vertices != nv:
                 raise ValueError(
                     "field '%s' lives on a %d-vertex mesh, expected %d"
                     % (name, f.dofmap.mesh.num_vertices, nv))
-            lines.append("SCALARS %s double 1" % name)
-            lines.append("LOOKUP_TABLE default")
+            parts.append("SCALARS %s double 1\nLOOKUP_TABLE default\n" % name)
             # vertex dofs come first for every degree
-            lines.extend("%.17g" % v for v in f.coeffs[:nv].tolist())
-    return ("\n".join(lines) + "\n").encode("ascii")
+            parts.append("%.17g\n" * nv % tuple(f.coeffs[:nv].tolist()))
+    return "".join(parts).encode("ascii")

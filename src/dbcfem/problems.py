@@ -210,12 +210,15 @@ class ProblemSpec:
 
     def field(self, source):
         """Vectorized callable (x1, x2) of an expression string, with
-        gamma and the declared constants bound to their values."""
+        gamma and the declared constants bound to their values; its
+        `tree` attribute is the parse tree."""
         tree = expr.parse(source, constants=tuple(self.constants))
         constants = {"gamma": self.gamma, **self.constants}
         # expr.eval is looked up at each call, so a wrapper installed on
         # the expr module sees every evaluation
-        return lambda x1, x2: expr.eval(tree, x1, x2, constants=constants)
+        fn = lambda x1, x2: expr.eval(tree, x1, x2, constants=constants)
+        fn.tree = tree
+        return fn
 
     def exact_field(self, name):
         """Callable of exact[name]; a *_grad entry returns the pair."""

@@ -441,3 +441,32 @@ def export_vtk_per_element(mesh, fields=(), names=None):
             for v in f.coeffs[:nv]:
                 lines.append("%.17g" % v)
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def export_vtk_per_line(mesh, fields=(), names=None):
+    """Legacy VTK bytes formatted one line at a time over tolist()
+    scalars, the form the one-format-per-section writer replaced."""
+    nv = mesh.num_vertices
+    nt = mesh.num_triangles
+    if names is None:
+        names = ["field_%d" % i for i in range(len(fields))]
+    lines = [
+        "# vtk DataFile Version 3.0",
+        "dbcfem level %d mesh" % mesh.level,
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        "POINTS %d double" % nv,
+    ]
+    lines.extend("%.17g %.17g 0" % (x, y) for x, y in mesh.vertices.tolist())
+    lines.append("CELLS %d %d" % (nt, 4 * nt))
+    lines.extend("3 %d %d %d" % (a, b, c)
+                 for a, b, c in mesh.triangles.tolist())
+    lines.append("CELL_TYPES %d" % nt)
+    lines.extend(["5"] * nt)
+    if fields:
+        lines.append("POINT_DATA %d" % nv)
+        for name, f in zip(names, fields):
+            lines.append("SCALARS %s double 1" % name)
+            lines.append("LOOKUP_TABLE default")
+            lines.extend("%.17g" % v for v in f.coeffs[:nv].tolist())
+    return ("\n".join(lines) + "\n").encode("ascii")

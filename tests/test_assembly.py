@@ -5,6 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
+import dbcfem.assembly as assembly
+import dbcfem.expr as expr
 from dbcfem.analysis import (boundary_L2_projection, error_H1_semi, error_L2,
                              error_L2_boundary, interpolate,
                              seminorm_H_half_boundary)
@@ -188,6 +190,25 @@ class TestLoadVector:
         load = assemble_load(dofmap, lambda x1, x2: x1)
         assert load.sum() == pytest.approx(0.5, rel=1e-13)
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_zero_datum_is_exact_zeros_without_evaluation(self, monkeypatch,
+                                                          degree):
+        calls = []
+        original = expr.eval
+        monkeypatch.setattr(
+            expr, "eval", lambda *a, **k: calls.append(1) or original(*a, **k))
+        spec = load_config("example2")
+        # x1 < 0 on part of the domain, so 0*x1 samples -0.0 there
+        dofmap = DofMap(mesh_hierarchy((-0.7, 0.3, 0.15, 2.2), 3)[-1], degree)
+        zeros = np.zeros(dofmap.num_dofs).tobytes()
+        load = assemble_load(dofmap, spec.field("0"))
+        assert calls == []
+        assert load.tobytes() == zeros
+        # any other tree is sampled, and the quadrature sums to +0.0 too
+        load = assemble_load(dofmap, spec.field("0*x1"))
+        assert calls
+        assert load.tobytes() == zeros
+
 
 class TestBlockSystem:
     def test_level0_unit_square_shapes(self):
@@ -334,6 +355,28 @@ class TestDofMap:
         n_edges = len(np.unique(pairs, axis=0))
         assert dofmap.num_dofs == mesh.num_vertices + n_edges
         assert len(dofmap.boundary) == 2 * len(mesh.boundary_edges)
+
+
+class TestCellGeometry:
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_one_level_builds_it_once(self, monkeypatch, degree):
+        calls = []
+        original = assembly._cell_geometry
+        monkeypatch.setattr(assembly, "_cell_geometry",
+                            lambda mesh: calls.append(mesh) or original(mesh))
+        spec = load_config("example1")
+        dofmap = DofMap(mesh_hierarchy(spec.domain, 3)[-1], degree)
+        u = interpolate(dofmap, lambda a, b: np.sin(3 * a) * np.cos(2 * b))
+        dofmap.stiffness, dofmap.mass
+        assemble_load(dofmap, spec.field(spec.f))
+        assemble_load(dofmap, spec.field(spec.y_d))
+        error_L2(u, spec.exact_field("y"))
+        error_H1_semi(u, spec.exact_field("y_grad"))
+        assert len(calls) == 1
+        # the int32 scatter leaves the CSR index type as it was
+        for name in ("stiffness", "mass", "boundary_mass"):
+            m = getattr(dofmap, name)
+            assert m.indices.dtype == m.indptr.dtype == np.int32, name
 
 
 class TestPhysicalGradients:

@@ -406,6 +406,54 @@ class TestInteriorSolver:
         solve_block(system, stats=stats)
         assert stats["interior"] == "splu"
 
+    @pytest.mark.parametrize("change", [
+        None,
+        "coupling removed",            # only the count tells
+        "diagonal neighbour",          # 1e-8 one step in x and in y
+        "stored zero",                 # a coupling held as an explicit 0
+        "coupling stored twice",       # in place of another one
+        "coupling added twice",        # a second copy on top
+        "coupling moved",              # -a one step in x and one in y
+    ])
+    def test_entries_off_the_five_point_stencil_take_splu(self, change):
+        K, xy = interior_block(RECTANGLES[3], 3)
+        cell, (m, n), _ = _uniform_grid(xy)
+        E = K.tocoo()
+        row, col, val = E.row.copy(), E.col.copy(), E.data.copy()
+        off = np.flatnonzero(row != col)
+        e = off[0]
+        if change == "coupling removed":      # both (i, j) and (j, i)
+            keep = ~(((row == row[e]) & (col == col[e]))
+                     | ((row == col[e]) & (col == row[e])))
+            row, col, val = row[keep], col[keep], val[keep]
+        elif change == "diagonal neighbour":
+            i, j = (np.flatnonzero(cell == c)[0] for c in (0, n + 1))
+            row, col, val = (np.append(row, i), np.append(col, j),
+                             np.append(val, 1e-8))
+        elif change == "stored zero":
+            val[e] = 0.0
+        elif change == "coupling stored twice":
+            other = off[(val[off] == val[e]) & (off != e)][0]
+            row[other], col[other] = row[e], col[e]
+        elif change == "coupling added twice":
+            row, col, val = (np.append(row, row[e]), np.append(col, col[e]),
+                             np.append(val, val[e]))
+        elif change == "coupling moved":
+            # from a point of the top grid row, whose step up in y is
+            # missing, to its neighbour one step right and one down
+            ix, iy = np.divmod(cell, n)
+            i = np.flatnonzero((iy == n - 1) & (ix < m - 1))[0]
+            j, k = (np.flatnonzero(cell == cell[i] + d)[0]
+                    for d in (n, n - 1))
+            col[(row == i) & (col == j)] = k
+        # CSR straight from the entries, which keeps a duplicate stored
+        order = np.lexsort((col, row))
+        indptr = np.searchsorted(row[order], np.arange(K.shape[0] + 1))
+        K = sp.csr_matrix((val[order], col[order], indptr), shape=K.shape)
+        assert K.nnz <= 5 * K.shape[0]
+        want = "dst" if change is None else "splu"
+        assert _interior_solver(K, xy)[1]["interior"] == want
+
     @pytest.mark.parametrize("xy", [
         [[0, 0], [0, 1], [1, 0]],                      # a point missing
         [[0, 0], [0, 1], [1, 0], [1, 1], [1, 1]],      # a point twice

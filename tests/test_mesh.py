@@ -15,7 +15,8 @@ from dbcfem.mesh import (TriMesh, _edge_lengths_sq, edge_numbering,
                          prolong_linear, refine_uniform)
 
 from oracles import (check_mesh, edge_lengths_sq_rolled,
-                     export_vtk_per_element, signed_areas)
+                     export_vtk_per_element, export_vtk_per_line,
+                     signed_areas)
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 QUARTER = (0.0, 0.25, 0.0, 0.25)
@@ -353,3 +354,15 @@ class TestVtkExport:
         assert export_vtk(mesh) == export_vtk_per_element(mesh)
         assert (export_vtk(mesh, fields, names=("y", "z"))
                 == export_vtk_per_element(mesh, fields, names=("y", "z")))
+
+    @pytest.mark.parametrize("rect", [SKEW, (-0.3, 0.7, 0.1, 2.9)])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_bytes_equal_the_per_line_writer(self, rect, degree):
+        # coordinates and values that are not dyadic print all 17 digits
+        mesh = mesh_hierarchy(rect, 4)[-1]
+        dofmap = DofMap(mesh, degree)
+        fields = (interpolate(dofmap, lambda a, b: np.exp(a) / (3 + b)),
+                  interpolate(dofmap, lambda a, b: -a * b / 7))
+        assert export_vtk(mesh) == export_vtk_per_line(mesh)
+        assert (export_vtk(mesh, fields)
+                == export_vtk_per_line(mesh, fields))
