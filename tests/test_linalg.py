@@ -242,18 +242,26 @@ class TestSolveBlock:
 
 
 class TestBitwiseSolve:
-    """One sha256 per problem over levels 0-5 of Y, Z and the solve
-    record, each solved with its spec's tolerance: example1 (P1 at
-    gamma = 1 and 0.01, and P2) and example2.  Any change in the
-    rounding of the solver, the residual or the refinement sweeps
-    changes the digest of every problem it touches.  Recorded while A
-    and C were stored copies of the stiffness rows and columns."""
+    """Two sha256 per problem over levels 0-5, each solved with its
+    spec's tolerance: example1 (P1 at gamma = 1 and 0.01, and P2) and
+    example2.  The solution digest covers Y, Z and the CG counts, the
+    record digest the whole solve record.  Any change in the rounding
+    of the solver, the residual or the refinement sweeps changes the
+    digests of every problem it touches.  The solution digests were
+    recorded while A and C were stored copies of the stiffness rows and
+    columns."""
 
-    DIGESTS = {
-        "example1": "6142620bf45cb571",
-        "example1-gamma0.01": "6a1dbe52ef44d5a4",
-        "example1-p2": "cb256d20dde21853",
-        "example2": "640b7d9a1e30776e",
+    SOLUTION_DIGESTS = {
+        "example1": "059a70119d08aa57",
+        "example1-gamma0.01": "29a9868433b122fe",
+        "example1-p2": "e3cbdeac216843ee",
+        "example2": "7808b75f83193fa1",
+    }
+    RECORD_DIGESTS = {
+        "example1": "95c545b6de894a52",
+        "example1-gamma0.01": "8c858d3611c309f5",
+        "example1-p2": "9ea065a05f196315",
+        "example2": "f4818420bb89a8a7",
     }
 
     SPECS = {
@@ -264,25 +272,45 @@ class TestBitwiseSolve:
     }
 
     @classmethod
-    def digest(cls, name):
+    def digests(cls, name):
+        """(solution digest, record digest) of one problem."""
         preset, changes = cls.SPECS[name]
         spec = dataclasses.replace(load_config(preset), **changes)
         f, y_d = spec.field(spec.f), spec.field(spec.y_d)
         config = SolverConfig(spec.solver_tolerance)
-        h = hashlib.sha256()
+        solution, record = hashlib.sha256(), hashlib.sha256()
         for mesh in mesh_hierarchy(spec.domain, 5):
             system = build_block_system(DofMap(mesh, spec.degree),
                                         spec.gamma, f, y_d)
             stats = {}
             Y, Z = solve_block(system, config, stats=stats)
-            h.update(Y.tobytes())
-            h.update(Z.tobytes())
-            h.update(json.dumps(stats, sort_keys=True).encode())
-        return h.hexdigest()[:16]
+            solution.update(Y.tobytes())
+            solution.update(Z.tobytes())
+            solution.update(json.dumps(stats["iterations"]).encode())
+            record.update(json.dumps(stats, sort_keys=True).encode())
+        return solution.hexdigest()[:16], record.hexdigest()[:16]
 
     @pytest.mark.parametrize("name", list(SPECS))
     def test_solution_and_record_are_bitwise_unchanged(self, name):
-        assert self.digest(name) == self.DIGESTS[name]
+        assert self.digests(name) == (self.SOLUTION_DIGESTS[name],
+                                      self.RECORD_DIGESTS[name])
+
+    def test_record_does_not_depend_on_the_blas_thread_count(self):
+        # BLAS may split a long dot product across threads, which moves
+        # the rounding of a norm taken through it
+        src = os.path.dirname(os.path.dirname(linalg.__file__))
+        code = ("import dataclasses, json\n"
+                "from dbcfem.problems import load_config, solve_level\n"
+                "spec = dataclasses.replace(load_config('example1'), "
+                "degree=2)\n"
+                "print(json.dumps(solve_level(spec, 5).stats, "
+                "sort_keys=True))\n")
+        records = [subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env=dict(os.environ, PYTHONPATH=src,
+                                 OPENBLAS_NUM_THREADS=threads)).stdout
+            for threads in ("1", "2")]
+        assert records[0] == records[1]
 
 
 class TestMatrixMarket:
