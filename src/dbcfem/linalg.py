@@ -72,10 +72,17 @@ def _extended_residual(system):
     return residual_of
 
 
+def _norm(v):
+    """‖v‖ of v rounded to double, summing the squares with np.sum:
+    np.linalg.norm goes through BLAS, whose dot product rounds
+    differently with the number of threads it splits the sum over."""
+    v = np.asarray(v, dtype=np.float64)
+    return float(np.sqrt(np.sum(v * v)))
+
+
 def _norm_ratio(r, b):
     """‖r‖/‖b‖ in double precision, or ‖r‖ when b = 0."""
-    rnorm = float(np.linalg.norm(r.astype(np.float64)))
-    bnorm = float(np.linalg.norm(b))
+    rnorm, bnorm = _norm(r), _norm(b)
     return rnorm / bnorm if bnorm != 0.0 else rnorm
 
 
@@ -86,13 +93,13 @@ def _refine(x, residual_of, apply_inverse, atol):
     improve, so further sweeps would repeat the work.
     """
     r = residual_of(x)
-    rnorm = float(np.linalg.norm(r.astype(np.float64)))
+    rnorm = _norm(r)
     for _ in range(3):
         if rnorm <= atol:
             break
         x_new = x + apply_inverse(r.astype(np.float64))
         r_new = residual_of(x_new)
-        rnorm_new = float(np.linalg.norm(r_new.astype(np.float64)))
+        rnorm_new = _norm(r_new)
         if not rnorm_new < rnorm:
             break
         x, r, rnorm = x_new, r_new, rnorm_new
@@ -316,7 +323,7 @@ def solve_block(system, config=None, stats=None):
     b = system.rhs()
     stats = {} if stats is None else stats
     stats.setdefault("iterations", [])
-    atol = 0.25 * config.tolerance * np.linalg.norm(b)  # CG and _refine
+    atol = 0.25 * config.tolerance * _norm(b)  # CG and _refine
     apply_inverse = _reduced_solver(system, atol, stats)
     x, r = _refine(apply_inverse(b), _extended_residual(system),
                    apply_inverse, atol)

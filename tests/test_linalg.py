@@ -258,10 +258,10 @@ class TestBitwiseSolve:
         "example2": "7808b75f83193fa1",
     }
     RECORD_DIGESTS = {
-        "example1": "95c545b6de894a52",
-        "example1-gamma0.01": "8c858d3611c309f5",
-        "example1-p2": "9ea065a05f196315",
-        "example2": "f4818420bb89a8a7",
+        "example1": "0aa5926276940d2a",
+        "example1-gamma0.01": "079443100f5afa37",
+        "example1-p2": "85b557b71c999f3c",
+        "example2": "bf9e9fcd2ff6ef76",
     }
 
     SPECS = {
