@@ -63,7 +63,7 @@ def interpolate(dofmap, fn):
 def error_L2(field, exact):
     """sqrt of int (u_h - u)^2 over the domain."""
     dofmap = field.dofmap
-    rule, det, _, pts = _cell_quadrature(dofmap)
+    rule, det, pts = _cell_quadrature(dofmap)
     vals = ReferenceBasis(dofmap.degree).values(rule.points)
     uh = np.einsum("tn,nq->tq", field.coeffs[dofmap.cell_dofs], vals)
     diff = uh - _sample(exact, pts)
@@ -73,9 +73,9 @@ def error_L2(field, exact):
 def error_H1_semi(field, exact_grad):
     """sqrt of int |grad u_h - grad u|^2; exact_grad returns (g1, g2)."""
     dofmap = field.dofmap
-    rule, det, inv_t, pts = _cell_quadrature(dofmap)
+    rule, det, pts = _cell_quadrature(dofmap)
     grads = ReferenceBasis(dofmap.degree).gradients(rule.points)
-    phys = _physical_gradients(inv_t, grads)
+    phys = _physical_gradients(dofmap.cell_geometry[1], det, grads)
     gh = np.einsum("tn,tnqa->tqa", field.coeffs[dofmap.cell_dofs], phys)
     diff = gh - np.stack(_sample(exact_grad, pts), axis=2)
     return math.sqrt(np.einsum("q,t,tqa->", rule.weights, det, diff ** 2))
@@ -180,7 +180,8 @@ def compute_eoc(errors):
 
 @dataclass
 class ConvergenceReport:
-    """Per-level errors and estimated orders for one problem setup.
+    """Per-level errors, and the estimated orders (eoc) derived from
+    them, for one problem setup.
 
     columns fixes the CSV layout: a tuple of (norm key, with_order)
     pairs in table order.
@@ -188,8 +189,10 @@ class ConvergenceReport:
 
     h: tuple
     errors: dict
-    eoc: dict
     columns: tuple
+
+    eoc = property(lambda self: {key: compute_eoc(vals) for key, vals
+                                 in self.errors.items()})
 
     def to_csv(self):
         header = ["h"]
@@ -198,12 +201,13 @@ class ConvergenceReport:
             if with_order:
                 header.append("order_" + key)
         lines = [",".join(header)]
+        eoc = self.eoc
         for i in range(len(self.h)):
             row = ["%.6g" % self.h[i]]
             for key, with_order in self.columns:
                 row.append("%.6g" % self.errors[key][i])
                 if with_order:
-                    o = self.eoc[key][i]
+                    o = eoc[key][i]
                     row.append("--" if o is None else "%.6g" % o)
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"

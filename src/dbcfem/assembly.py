@@ -41,9 +41,9 @@ class DofMap:
     index arrays partitioning range(N); boundary dofs are exactly those
     whose nodes lie on the rectangle boundary.  The N x N operators
     `stiffness`, `mass` and `boundary_mass`, and the `cell_geometry`
-    that the stiffness, the mass, the loads and the error norms read,
-    are built on first use and then shared by every consumer of the
-    map.
+    (origin, Jacobian and determinant of every cell) that the
+    stiffness, the mass, the loads and the error norms read, are built
+    on first use and then shared by every consumer of the map.
     """
 
     def __init__(self, mesh, degree=1):
@@ -88,40 +88,38 @@ class DofMap:
 
 
 def _cell_geometry(mesh):
-    """Per triangle: origin, Jacobian, determinant, inverse transpose."""
+    """Per triangle: origin, Jacobian, determinant."""
     tri = mesh.triangles
     x, y = mesh.vertices[:, 0][tri], mesh.vertices[:, 1][tri]  # (nt, 3)
     jac = np.stack([x[:, 1:] - x[:, :1], y[:, 1:] - y[:, :1]], axis=1)
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    inv_t = np.empty_like(jac)
-    np.divide(jac[:, 1, 1], det, out=inv_t[:, 0, 0])
-    np.divide(-jac[:, 1, 0], det, out=inv_t[:, 0, 1])
-    np.divide(-jac[:, 0, 1], det, out=inv_t[:, 1, 0])
-    np.divide(jac[:, 0, 0], det, out=inv_t[:, 1, 1])
-    return np.column_stack([x[:, 0], y[:, 0]]), jac, det, inv_t
+    return np.column_stack([x[:, 0], y[:, 0]]), jac, det
 
 
 def _cell_quadrature(dofmap):
-    """Triangle rule of exactness 2k+2, per-cell det and inverse
-    transpose Jacobian, and the physical quadrature points (nt, nq, 2),
-    stored one coordinate after the other, so that _sample passes each
-    coordinate on without a copy.
+    """Triangle rule of exactness 2k+2, per-cell det, and the physical
+    quadrature points (nt, nq, 2), stored one coordinate after the
+    other, so that _sample passes each coordinate on without a copy.
     """
     rule = triangle_quadrature(2 * dofmap.degree + 2)
-    origin, jac, det, inv_t = dofmap.cell_geometry
+    origin, jac, det = dofmap.cell_geometry
     pts = np.empty((2, len(det), len(rule.points))).transpose(1, 2, 0)
     np.einsum("tab,qb->tqa", jac, rule.points, out=pts, optimize=True)
     pts += origin[:, None, :]
-    return rule, det, inv_t, pts
+    return rule, det, pts
 
 
-def _physical_gradients(inv_t, grads):
+def _physical_gradients(jac, det, grads):
     """Basis gradients J^-T g in every cell, (nt, nd, nq, 2), from the
-    reference gradients (nd, nq, 2).
+    cell geometry and the reference gradients (nd, nq, 2).  Only the
+    H1 error needs J^-T = adj(J)^T / det, so it is formed here.
 
     The two-term sum is written out: it rounds exactly like
     einsum("tab,nqb->tnqa") and is several times faster.
     """
+    # adj(J)^T: J with both axes reversed and the off-diagonal negated
+    inv_t = jac[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    inv_t /= det[:, None, None]
     phys = inv_t[:, None, None, :, 0] * grads[None, :, :, None, 0]
     phys += inv_t[:, None, None, :, 1] * grads[None, :, :, None, 1]
     return phys
@@ -181,7 +179,7 @@ def _scatter(dofs, local, n):
 def _metric(dofmap):
     """det J^-1 J^-T = adj(J) adj(J)^T / det per cell, as (nt, 4) rows,
     from the DofMap's cell geometry."""
-    _, jac, det, _ = dofmap.cell_geometry
+    _, jac, det = dofmap.cell_geometry
     a, b, c, d = jac.reshape(-1, 4).T
     off = -(a * b + c * d)
     rows = np.column_stack([b * b + d * d, off, off, a * a + c * c])
@@ -203,7 +201,7 @@ def assemble_mass(dofmap):
     """N x N matrix with entries (phi_j, phi_i) over the domain."""
     rule = triangle_quadrature(2 * dofmap.degree)
     vals = ReferenceBasis(dofmap.degree).values(rule.points)  # (nd, nq)
-    _, _, det, _ = dofmap.cell_geometry
+    _, _, det = dofmap.cell_geometry
     local = det[:, None, None] * np.einsum("q,nq,mq->nm", rule.weights,
                                            vals, vals)
     return _scatter(dofmap.cell_dofs, local, dofmap.num_dofs)
@@ -238,7 +236,7 @@ def assemble_load(dofmap, g):
     """
     if getattr(g, "tree", None) == ("num", 0.0):
         return np.zeros(dofmap.num_dofs)
-    rule, det, _, pts = _cell_quadrature(dofmap)
+    rule, det, pts = _cell_quadrature(dofmap)
     weighted = ReferenceBasis(dofmap.degree).values(rule.points) * rule.weights
     contrib = _sample(g, pts) @ weighted.T
     contrib *= det[:, None]

@@ -73,11 +73,9 @@ def _extended_residual(system):
 
 
 def _norm(v):
-    """‖v‖ of v rounded to double, summing the squares with np.sum:
-    np.linalg.norm goes through BLAS, whose dot product rounds
-    differently with the number of threads it splits the sum over."""
-    v = np.asarray(v, dtype=np.float64)
-    return float(np.sqrt(np.sum(v * v)))
+    """‖v‖ of v rounded to double, summed by np.sum: BLAS, under
+    np.linalg.norm, rounds a long sum differently per thread count."""
+    return float(np.sqrt(np.sum(np.square(v, dtype=np.float64))))
 
 
 def _norm_ratio(r, b):

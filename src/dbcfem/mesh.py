@@ -20,15 +20,17 @@ visibly different boundary-trace errors).
 Boundary edges are stored as one closed counterclockwise walk starting
 at the lower-left corner; refinement splits each walk edge in place, so
 consecutive entries always share a vertex.  A refined mesh records
-which coarse edge produced each new vertex (coarse_vertex_count,
-midpoint_of), which is what exact coarse-to-fine interpolation of
+which coarse edge produced each new vertex (midpoint_of, after the
+coarse vertices), which is what exact coarse-to-fine interpolation of
 piecewise-linear fields needs.
 
 Meshes are immutable after construction (the arrays are write locked)
-and safe to share across threads.
+and safe to share across threads; h_max is computed on first read, and
+two threads reading it first at once both store the same value.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,18 +43,15 @@ class TriMesh:
     triangles        -- (nt, 3) vertex indices, counterclockwise
     boundary_edges   -- (nbe, 2) vertex indices, a closed ccw walk
     level            -- refinement count from the initial mesh
-    h_max            -- maximum triangle diameter
-    coarse_vertex_count -- vertex count of the parent mesh (0 at level 0)
-    midpoint_of      -- (nv - coarse_vertex_count, 2) parent vertex pairs
-                        that each new vertex bisects (empty at level 0)
+    midpoint_of      -- (nv - nc, 2) parent vertex pairs bisected by the
+                        vertices after the nc parent ones (empty at level 0)
+    h_max            -- maximum triangle diameter, computed on first read
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
     level: int
-    h_max: float
-    coarse_vertex_count: int = 0
     midpoint_of: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
 
     def __post_init__(self):
@@ -68,6 +67,11 @@ class TriMesh:
     def num_triangles(self):
         return self.triangles.shape[0]
 
+    @cached_property
+    def h_max(self):
+        return float(np.sqrt(_edge_lengths_sq(self.vertices,
+                                              self.triangles).max()))
+
 
 def _edge_lengths_sq(vertices, triangles):
     """Squared lengths of the edges v0v1, v1v2, v2v0 of each triangle."""
@@ -76,10 +80,6 @@ def _edge_lengths_sq(vertices, triangles):
     for i, j in ((0, 1), (1, 2), (2, 0)):
         out[:, i] = (x[:, i] - x[:, j]) ** 2 + (y[:, i] - y[:, j]) ** 2
     return out
-
-
-def _h_max(vertices, triangles):
-    return float(np.sqrt(_edge_lengths_sq(vertices, triangles).max()))
 
 
 def make_initial_mesh(rect):
@@ -112,8 +112,7 @@ def make_initial_mesh(rect):
     boundary_edges = np.array(
         [[0, 1], [1, 2], [2, 5], [5, 8], [8, 7], [7, 6], [6, 3], [3, 0]],
         dtype=np.int64)
-    return TriMesh(vertices, triangles, boundary_edges,
-                   level=0, h_max=_h_max(vertices, triangles))
+    return TriMesh(vertices, triangles, boundary_edges, level=0)
 
 
 def edge_numbering(triangles):
@@ -199,10 +198,7 @@ def refine_uniform(mesh):
     u, v = mesh.boundary_edges.T
     bnd = np.stack([u, m, m, v], axis=1).reshape(-1, 2)
 
-    return TriMesh(vertices, children, bnd,
-                   level=mesh.level + 1,
-                   h_max=_h_max(vertices, children),
-                   coarse_vertex_count=mesh.num_vertices,
+    return TriMesh(vertices, children, bnd, level=mesh.level + 1,
                    midpoint_of=edges)
 
 
@@ -217,7 +213,9 @@ def mesh_hierarchy(rect, max_level):
 def prolong_linear(coeffs, fine_mesh):
     """Interpolate vertex values one level up (exact for P1 fields)."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    nc = fine_mesh.coarse_vertex_count
+    # the coarse vertices come first; the initial mesh has no parent
+    nc = (fine_mesh.num_vertices - len(fine_mesh.midpoint_of)
+          if fine_mesh.level else 0)
     if nc == 0 or len(coeffs) != nc:
         raise ValueError("coefficient length %d does not match the coarse "
                          "mesh (%d vertices)" % (len(coeffs), nc))

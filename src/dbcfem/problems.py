@@ -30,7 +30,7 @@ from zipfile import BadZipFile
 import numpy as np
 
 from . import analysis, expr
-from .analysis import ConvergenceReport, FemField, compute_eoc
+from .analysis import ConvergenceReport, FemField
 from .assembly import DofMap, build_block_system
 from .linalg import SolverConfig, solve_block
 from .mesh import mesh_hierarchy, prolong_linear
@@ -323,14 +323,15 @@ def config_hash(spec):
 
 @dataclass
 class LevelSolution:
-    """One solved refinement level; stats is the record solve_block
-    filled for it (see linalg.solve_block for its keys)."""
+    """One solved refinement level, on the DofMap and level of y; stats
+    is the record solve_block filled for it (see linalg.solve_block)."""
 
-    level: int
-    dofmap: DofMap
     y: FemField
     z: FemField
     stats: dict
+
+    dofmap = property(lambda self: self.y.dofmap)
+    level = property(lambda self: self.dofmap.mesh.level)
 
 
 def solve_level(spec, level, dofmap=None, solver_config=None):
@@ -355,8 +356,7 @@ def solve_level(spec, level, dofmap=None, solver_config=None):
 
     zfull = np.zeros(dofmap.num_dofs)
     zfull[system.interior] = Z
-    return LevelSolution(level=level, dofmap=dofmap,
-                         y=FemField(dofmap, Y), z=FemField(dofmap, zfull),
+    return LevelSolution(y=FemField(dofmap, Y), z=FemField(dofmap, zfull),
                          stats=stats)
 
 
@@ -428,9 +428,7 @@ def run_convergence(spec):
     matrix norms there.
     """
     keys = [key for key, _ in spec.columns]
-    errors = {key: [] for key in keys}
-    hs = []
-    solutions = []
+    solutions, rows = [], []           # rows: one error dict per level
 
     if spec.exact is not None:
         meshes = mesh_hierarchy(spec.domain, max(spec.levels))
@@ -441,22 +439,18 @@ def run_convergence(spec):
 
     for level in spec.levels:
         sol = solve_level(spec, level, DofMap(meshes[level], spec.degree))
-        hs.append(sol.dofmap.mesh.h_max)
         solutions.append(sol)
         if spec.exact is not None:
-            level_errors = _errors_exact(spec, sol, keys)
+            rows.append(_errors_exact(spec, sol, keys))
         else:
             py, pz = sol.y.coeffs, sol.z.coeffs
             for fine in meshes[level + 1:]:
                 py = prolong_linear(py, fine)
                 pz = prolong_linear(pz, fine)
-            level_errors = _matrix_norms(ref, py - yref, pz - zref, keys)
-        for key in keys:
-            errors[key].append(level_errors[key])
+            rows.append(_matrix_norms(ref, py - yref, pz - zref, keys))
 
     report = ConvergenceReport(
-        h=tuple(hs),
-        errors={key: tuple(vals) for key, vals in errors.items()},
-        eoc={key: compute_eoc(vals) for key, vals in errors.items()},
+        h=tuple(sol.dofmap.mesh.h_max for sol in solutions),
+        errors={key: tuple(row[key] for row in rows) for key in keys},
         columns=spec.columns)
     return report, solutions

@@ -29,13 +29,10 @@ SKEW = (0.1, 1.3, 0.2, 0.9)
 
 
 def single_triangle_mesh(p0, p1, p2):
-    verts = np.array([p0, p1, p2], dtype=float)
-    sides = [np.hypot(*(verts[b] - verts[a])) for a, b in
-             ((0, 1), (1, 2), (2, 0))]
-    return TriMesh(vertices=verts,
+    return TriMesh(vertices=np.array([p0, p1, p2], dtype=float),
                    triangles=np.array([[0, 1, 2]]),
                    boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
-                   level=0, h_max=max(sides))
+                   level=0)
 
 
 class TestLocalMatrices:
@@ -157,7 +154,7 @@ class TestGlobalMatrices:
         shuffled = TriMesh(vertices=mesh.vertices.copy(),
                            triangles=mesh.triangles[perm].copy(),
                            boundary_edges=mesh.boundary_edges.copy(),
-                           level=mesh.level, h_max=mesh.h_max)
+                           level=mesh.level)
         for degree in (1, 2):
             a = assemble_stiffness(DofMap(mesh, degree)).toarray()
             b = assemble_stiffness(DofMap(shuffled, degree)).toarray()
@@ -386,9 +383,10 @@ class TestPhysicalGradients:
         rule = triangle_quadrature(exactness)
         grads = ReferenceBasis(degree).gradients(rule.points)
         for mesh in mesh_hierarchy((0.1, 1.3, 0.2, 0.9), 4):
-            _, _, _, inv_t = _cell_geometry(mesh)
+            _, jac, det = _cell_geometry(mesh)
+            inv_t = cell_geometry_stacked(mesh)[3]
             want = np.einsum("tab,nqb->tnqa", inv_t, grads)
-            assert np.array_equal(_physical_gradients(inv_t, grads), want)
+            assert np.array_equal(_physical_gradients(jac, det, grads), want)
 
 
 class TestKernelOracles:
@@ -413,9 +411,16 @@ class TestKernelOracles:
 
     @pytest.mark.parametrize("rect", [SKEW, (-0.7, 0.3, 0.15, 2.2)])
     def test_cell_geometry_equals_the_stacked_form(self, rect):
+        # unit reference gradients read J^-T back out of the physical
+        # gradients: column a of J^-T is the gradient of e_a
+        unit = np.eye(2)[:, None, :]
         for mesh in mesh_hierarchy(rect, 6):
-            for got, want in zip(_cell_geometry(mesh),
-                                 cell_geometry_stacked(mesh)):
+            origin, jac, det = _cell_geometry(mesh)
+            inv_t = _physical_gradients(jac, det, unit)[:, :, 0, :]
+            arrays = origin, jac, det, inv_t.transpose(0, 2, 1)
+            stacked = cell_geometry_stacked(mesh)
+            assert len(arrays) == len(stacked)
+            for got, want in zip(arrays, stacked):
                 assert got.shape == want.shape
                 assert np.array_equal(got, want), mesh.level
 

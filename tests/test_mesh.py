@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dbcfem.mesh as mesh_module
 from dbcfem.analysis import interpolate
 from dbcfem.assembly import DofMap
 from dbcfem.mesh import (TriMesh, _edge_lengths_sq, edge_numbering,
@@ -100,6 +101,18 @@ class TestRefinement:
         assert unit_hierarchy[4].h_max == pytest.approx(
             math.sqrt(2) / 32, rel=1e-14)
 
+    def test_h_max_is_computed_on_first_read_only(self, monkeypatch):
+        calls = []
+        original = mesh_module._edge_lengths_sq
+        monkeypatch.setattr(mesh_module, "_edge_lengths_sq",
+                            lambda *args: calls.append(1) or original(*args))
+        meshes = mesh_hierarchy(SKEW, 4)
+        assert len(calls) == 4          # one longest-edge pass per split
+        for mesh in meshes:
+            first = mesh.h_max
+            assert mesh.h_max == first
+        assert len(calls) == 4 + len(meshes)
+
     def test_area_and_perimeter_preserved(self, unit_hierarchy):
         for mesh in unit_hierarchy:
             assert signed_areas(mesh).sum() == pytest.approx(1.0, rel=1e-12)
@@ -141,7 +154,7 @@ class TestRefinement:
     def test_vertex_nesting(self, unit_hierarchy):
         for coarse, fine in zip(unit_hierarchy, unit_hierarchy[1:]):
             nc = coarse.num_vertices
-            assert fine.coarse_vertex_count == nc
+            assert fine.num_vertices - len(fine.midpoint_of) == nc
             assert np.array_equal(fine.vertices[:nc], coarse.vertices)
 
     def test_refinement_is_deterministic(self):
@@ -178,7 +191,7 @@ class TestRefinement:
         tri[0] = tri[0][::-1]
         bad = TriMesh(vertices=mesh.vertices.copy(), triangles=tri,
                       boundary_edges=mesh.boundary_edges.copy(),
-                      level=0, h_max=mesh.h_max)
+                      level=0)
         with pytest.raises(AssertionError):
             check_mesh(bad)
 
@@ -200,7 +213,7 @@ class TestEdgeNumbering:
         walk[0] = pair
         bad = TriMesh(vertices=mesh.vertices.copy(),
                       triangles=mesh.triangles.copy(), boundary_edges=walk,
-                      level=0, h_max=mesh.h_max)
+                      level=0)
         with pytest.raises(AssertionError, match="differs"):
             check_mesh(bad)
 

@@ -16,7 +16,7 @@ from dbcfem import (
     run_convergence,
     solve_level,
 )
-from dbcfem.analysis import interpolate
+from dbcfem.analysis import compute_eoc, interpolate
 from dbcfem.assembly import DofMap
 from dbcfem.mesh import mesh_hierarchy
 from dbcfem.problems import (NORMS, ProblemSpec, _errors_exact, _matrix_norms,
@@ -281,6 +281,12 @@ class TestSolveLevel:
         assert sol.stats["adjoint"] <= 1e-10
         assert sol.stats["residual"] <= 1e-10
 
+    def test_dofmap_and_level_are_those_of_the_fields(self):
+        spec = load_config("example1")
+        sol = solve_level(spec, 2)
+        assert sol.dofmap is sol.y.dofmap is sol.z.dofmap
+        assert sol.level == sol.dofmap.mesh.level == 2
+
     def test_adjoint_vanishes_on_the_boundary(self):
         spec = load_config("example1")
         sol = solve_level(spec, 2)
@@ -340,6 +346,14 @@ class TestRunConvergence:
             vals = report.errors[key]
             assert vals[0] > vals[1] > vals[2] > 0
 
+    def test_a_key_listed_twice_has_one_error_per_level(self):
+        spec = dataclasses.replace(load_config("example1"), levels=(0, 1, 2),
+                                   columns=("h1_y", ("h1_y", False)))
+        report, _ = run_convergence(spec)
+        once, _ = run_convergence(dataclasses.replace(spec, columns=("h1_y",)))
+        assert report.errors == once.errors
+        assert len(report.errors["h1_y"]) == 3
+
     def test_one_mesh_hierarchy_per_run(self, monkeypatch):
         import dbcfem.mesh as mesh
 
@@ -363,6 +377,8 @@ class TestRunConvergence:
         l2y = report.errors["l2_y"]
         assert l2y[0] > l2y[1] > 0
         assert report.eoc["l2_y"][1] > 1.0
+        assert report.eoc == {key: compute_eoc(errors)
+                              for key, errors in report.errors.items()}
 
     def test_reference_solution_is_cached(self, tmp_path, monkeypatch):
         import dbcfem.problems as problems
