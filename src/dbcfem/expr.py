@@ -13,8 +13,9 @@ small recursive-descent one:
 
 '^' binds tighter than unary minus and is right associative, so
 -x1^2 == -(x1^2) and 2^3^2 == 2^(3^2).  Functions: sin, cos, exp, log,
-sqrt, pow, abs.  Named constants: pi is always available; gamma and
-any per-config extras (such as s) are resolved at evaluation time.
+sqrt, pow, abs.  Named constants are bound to numbers when the text
+is parsed: pi is built in, and gamma and any per-config extras (such
+as s) are given to parse with their values.
 
 Evaluation is numpy-vectorized and raises EvalError on domain faults
 (log of a nonpositive value, division by zero, overflow) instead of
@@ -27,7 +28,7 @@ import numpy as np
 
 FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "log": 1, "sqrt": 1, "pow": 2, "abs": 1}
 VARIABLES = ("x1", "x2")
-DEFAULT_CONSTANTS = ("gamma", "pi")
+BUILTINS = {"pi": np.pi}
 
 
 class ParseError(ValueError):
@@ -132,11 +133,11 @@ class _Parser:
                     raise ParseError(
                         "%s takes %d argument(s), got %d"
                         % (text, FUNCTIONS[text], len(args)), off)
-                return ("call", text, tuple(args))
+                return (text, *args)
             if text in VARIABLES:
                 return ("var", text)
             if text in self.names:
-                return ("const", text)
+                return ("num", float(self.names[text]))
             raise ParseError("unknown identifier '%s'" % text, off)
         if kind == "op" and text == "(":
             node = self.expr()
@@ -145,22 +146,21 @@ class _Parser:
         raise ParseError("expected a value", off)
 
 
-def parse(text, constants=DEFAULT_CONSTANTS):
+def parse(text, constants=None):
     """Parse an expression string into an immutable tree.
 
-    Nodes are nested tuples: ("num", value), ("var", name),
-    ("const", name), ("neg", child), (op, left, right) with op in
-    add/sub/mul/div/pow, and ("call", fname, args).
+    Nodes are nested tuples: ("num", value), ("var", name), and
+    (op, *children) with op one of add/sub/mul/div/pow/neg or a FUNCTIONS
+    name, so pow(a, b) and a^b give the same ("pow", a, b).
 
     Keyword arguments:
-        constants -- iterable of constant names allowed besides gamma
-                     and pi
+        constants -- mapping of constant names (gamma, ...) to values,
+                     bound into the tree as ("num", value) besides pi
 
     Raises ParseError (with .offset) on syntax errors, unknown
     identifiers and wrong function arity.
     """
-    names = frozenset(constants) | frozenset(DEFAULT_CONSTANTS)
-    parser = _Parser(_tokenize(text), names)
+    parser = _Parser(_tokenize(text), {**BUILTINS, **(constants or {})})
     tree = parser.expr()
     kind, _, off = parser.peek()
     if kind != "end":
@@ -168,63 +168,40 @@ def parse(text, constants=DEFAULT_CONSTANTS):
     return tree
 
 
-_UNARY_FN = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
-             "sqrt": np.sqrt, "abs": np.abs}
+_OPS = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
+        "div": np.divide, "pow": np.power, "neg": np.negative,
+        "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
+        "sqrt": np.sqrt, "abs": np.abs}
 
 
-def _eval_node(node, x1, x2, consts):
+def _eval_node(node, x1, x2):
     kind = node[0]
     if kind == "num":
         return np.float64(node[1])
     if kind == "var":
         return x1 if node[1] == "x1" else x2
-    if kind == "const":
-        if node[1] == "pi" and "pi" not in consts:
-            return np.float64(np.pi)
-        try:
-            return np.float64(consts[node[1]])
-        except KeyError:
-            raise EvalError("constant '%s' has no value" % node[1]) from None
-    if kind == "neg":
-        return -_eval_node(node[1], x1, x2, consts)
-    if kind == "call":
-        args = [_eval_node(a, x1, x2, consts) for a in node[2]]
-        if node[1] == "pow":
-            return np.power(args[0], args[1])
-        return _UNARY_FN[node[1]](args[0])
-    a = _eval_node(node[1], x1, x2, consts)
-    b = _eval_node(node[2], x1, x2, consts)
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    return np.power(a, b)  # pow
+    return _OPS[kind](*[_eval_node(child, x1, x2) for child in node[1:]])
 
 
-def eval(tree, x1, x2, constants=None):
-    """Evaluate a parsed tree at x1, x2 (scalars or broadcastable arrays).
+def eval(tree, x1, x2):
+    """Evaluate a parsed tree at x1, x2 (scalars or broadcastable arrays);
+    parse bound every other name to a number, so no constants are given.
 
-    Keyword arguments:
-        constants -- mapping of constant names to values (gamma, ...)
-
-    Return: float for scalar input, ndarray otherwise.
+    Return: float for scalar input, otherwise a new ndarray that shares
+    no memory with x1 or x2.
     Raises EvalError on numeric faults.
     """
-    consts = {} if constants is None else constants
     ax1 = np.asarray(x1, dtype=np.float64)
     ax2 = np.asarray(x2, dtype=np.float64)
     scalar = ax1.ndim == 0 and ax2.ndim == 0
     try:
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            out = _eval_node(tree, ax1, ax2, consts)
+            out = _eval_node(tree, ax1, ax2)
     except FloatingPointError as err:
         raise EvalError("evaluation failed: %s" % err) from None
     out = np.broadcast_to(np.asarray(out, dtype=np.float64),
                           np.broadcast_shapes(ax1.shape, ax2.shape))
     if scalar:
         return float(out)
+    # a copy: the tree ("var", "x1") would otherwise return x1 itself
     return np.array(out)

@@ -169,8 +169,8 @@ class ProblemSpec:
         except (TypeError, ValueError) as err:
             raise ConfigError("bad solver settings: %s" % err) from None
         for cname in self.constants:
-            if (cname in expr.VARIABLES or cname in expr.FUNCTIONS
-                    or cname in expr.DEFAULT_CONSTANTS):
+            if cname in ("gamma", *expr.VARIABLES, *expr.FUNCTIONS,
+                         *expr.BUILTINS):
                 raise ConfigError("constant name '%s' is reserved" % cname)
 
         if self.exact is None:
@@ -209,14 +209,13 @@ class ProblemSpec:
                                   % (label, err)) from None
 
     def field(self, source):
-        """Vectorized callable (x1, x2) of an expression string, with
-        gamma and the declared constants bound to their values; its
-        `tree` attribute is the parse tree."""
-        tree = expr.parse(source, constants=tuple(self.constants))
-        constants = {"gamma": self.gamma, **self.constants}
+        """Vectorized callable (x1, x2) of an expression string; its
+        `tree` attribute is the parse tree, in which gamma and the
+        declared constants are already numbers (see expr.parse)."""
+        tree = expr.parse(source, {"gamma": self.gamma, **self.constants})
         # expr.eval is looked up at each call, so a wrapper installed on
         # the expr module sees every evaluation
-        fn = lambda x1, x2: expr.eval(tree, x1, x2, constants=constants)
+        fn = lambda x1, x2: expr.eval(tree, x1, x2)
         fn.tree = tree
         return fn
 
@@ -338,8 +337,8 @@ def solve_level(spec, level, dofmap=None, solver_config=None):
     """Assemble and solve one refinement level of a problem.
 
     Keyword arguments:
-        dofmap -- reuse a prebuilt DofMap (and its operators) of the
-                  right level and degree
+        dofmap -- reuse a prebuilt DofMap (and its operators); its
+                  mesh level and degree must be level and spec.degree
         solver_config -- override the spec's solver tolerance
     """
     if level < 0:
@@ -347,6 +346,10 @@ def solve_level(spec, level, dofmap=None, solver_config=None):
                           % level)
     if dofmap is None:
         dofmap = DofMap(mesh_hierarchy(spec.domain, level)[-1], spec.degree)
+    elif (dofmap.mesh.level, dofmap.degree) != (level, spec.degree):
+        raise ValueError("dofmap has level %d, degree %d, not level %d, "
+                         "degree %d" % (dofmap.mesh.level, dofmap.degree,
+                                        level, spec.degree))
     system = build_block_system(dofmap, spec.gamma, spec.field(spec.f),
                                 spec.field(spec.y_d))
     if solver_config is None:

@@ -1,5 +1,6 @@
 """Global operator assembly and the coupled block system."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -199,6 +200,11 @@ class TestLoadVector:
         dofmap = DofMap(mesh_hierarchy((-0.7, 0.3, 0.15, 2.2), 3)[-1], degree)
         zeros = np.zeros(dofmap.num_dofs).tobytes()
         load = assemble_load(dofmap, spec.field("0"))
+        assert calls == []
+        assert load.tobytes() == zeros
+        # a constant bound to 0 is the same ("num", 0.0) leaf
+        quiet = dataclasses.replace(spec, constants={"s": 0.0})
+        load = assemble_load(dofmap, quiet.field("s"))
         assert calls == []
         assert load.tobytes() == zeros
         # any other tree is sampled, and the quadrature sums to +0.0 too

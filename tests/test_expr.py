@@ -7,13 +7,16 @@ expressions; fixed vectors pin the precedence corners.
 
 import math
 import operator
+import os
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dbcfem import expr
 from dbcfem.expr import EvalError, ParseError, eval as expr_eval, parse
 
 GAMMA = {"gamma": 1.0}
@@ -161,9 +164,9 @@ def random_expression(rng, depth):
 
 class TestParsing:
     def test_problem_data_expressions_parse(self):
-        parse("(x1^2 - x1 + x2^2 - x2)/gamma")
-        parse("(x1^2 + x2^2)^s", constants=("gamma", "s"))
-        parse("(2 + 1/gamma)*(x1^2 - x1 + x2^2 - x2)")
+        parse("(x1^2 - x1 + x2^2 - x2)/gamma", GAMMA)
+        parse("(x1^2 + x2^2)^s", {"gamma": 1.0, "s": 1e-5})
+        parse("(2 + 1/gamma)*(x1^2 - x1 + x2^2 - x2)", GAMMA)
 
     @pytest.mark.parametrize("text,offset", [
         ("x1 + ", 5),
@@ -184,6 +187,34 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse(text)
 
+    def test_pow_call_and_caret_give_one_tree(self):
+        assert parse("pow(x1, 2)") == parse("x1^2") == (
+            "pow", ("var", "x1"), ("num", 2.0))
+
+    def test_constants_become_numbers(self):
+        assert parse("s", {"s": 0.25}) == ("num", 0.25)
+        assert parse("pi") == ("num", np.pi)
+        with pytest.raises(ParseError, match="unknown identifier 'gamma'"):
+            parse("2*gamma")
+
+    def test_missing_constant_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            parse("x1*s")
+        assert expr_eval(parse("x1*s", {"s": 3.0}), 2.0, 0.0) == 6.0
+
+    def test_every_function_has_an_operation(self):
+        assert set(expr.FUNCTIONS) <= set(expr._OPS)
+
+    def test_config_docs_list_exactly_the_functions(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "docs", "config.md"),
+                  encoding="utf-8") as fh:
+            text = fh.read()
+        line = text.split("\n- Functions:", 1)[1].split("\n- ", 1)[0]
+        documented = re.findall(r"`(\w+)`", line)
+        assert len(documented) == len(set(documented))
+        assert set(documented) == set(expr.FUNCTIONS)
+
     def test_number_formats(self):
         assert expr_eval(parse("1e-5"), 0.0, 0.0) == pytest.approx(1e-5)
         assert expr_eval(parse(".5"), 0.0, 0.0) == 0.5
@@ -193,8 +224,8 @@ class TestParsing:
 
 class TestEvaluation:
     def test_known_values(self):
-        y = parse("(x1^2 - x1 + x2^2 - x2)/gamma")
-        assert expr_eval(y, 0.0, 0.0, GAMMA) == 0.0
+        y = parse("(x1^2 - x1 + x2^2 - x2)/gamma", GAMMA)
+        assert expr_eval(y, 0.0, 0.0) == 0.0
         z = parse("(x1^2 - x1)*(x2^2 - x2)")
         assert expr_eval(z, 0.5, 0.5) == pytest.approx(1 / 16, rel=1e-15)
         assert expr_eval(parse("0"), 0.3, 0.7) == 0.0
@@ -229,6 +260,14 @@ class TestEvaluation:
     def test_scalar_in_scalar_out(self):
         assert isinstance(expr_eval(parse("x1"), 1.0, 0.0), float)
 
+    @pytest.mark.parametrize("text", ["x1", "x2", "x1*1"])
+    def test_array_result_is_a_new_array(self, text):
+        x1 = np.linspace(0.0, 1.0, 5)
+        x2 = np.linspace(1.0, 2.0, 5)
+        out = expr_eval(parse(text), x1, x2)
+        assert not np.shares_memory(out, x1)
+        assert not np.shares_memory(out, x2)
+
     @pytest.mark.parametrize("text", [
         "log(0-1)", "sqrt(0-2)", "1/(x1-x1)", "exp(10000)",
         "(0-2)^0.5", "(x1-x1)^(0-1)",
@@ -237,15 +276,9 @@ class TestEvaluation:
         with pytest.raises(EvalError):
             expr_eval(parse(text), 1.0, 1.0)
 
-    def test_missing_constant_is_an_eval_error(self):
-        e = parse("x1*s", constants=("s",))
-        with pytest.raises(EvalError):
-            expr_eval(e, 1.0, 1.0)
-        assert expr_eval(e, 2.0, 0.0, {"s": 3.0}) == 6.0
-
     def test_singular_exponent_data_evaluates(self):
-        e = parse("(x1^2 + x2^2)^s", constants=("s",))
-        got = expr_eval(e, 0.1, 0.2, {"s": 1e-5})
+        e = parse("(x1^2 + x2^2)^s", {"s": 1e-5})
+        got = expr_eval(e, 0.1, 0.2)
         assert got == pytest.approx((0.1 ** 2 + 0.2 ** 2) ** 1e-5, rel=1e-15)
 
 
@@ -264,8 +297,8 @@ class TestAgainstShuntingYard:
             except (ValueError, ZeroDivisionError, OverflowError, KeyError):
                 oracle_ok = False
             try:
-                got = expr_eval(parse(text), env["x1"], env["x2"],
-                                {"gamma": env["gamma"]})
+                got = expr_eval(parse(text, {"gamma": env["gamma"]}),
+                                env["x1"], env["x2"])
                 lib_ok = True
             except EvalError:
                 lib_ok = False
@@ -289,8 +322,8 @@ class TestAgainstShuntingYard:
         except (ValueError, ZeroDivisionError, OverflowError):
             want = None
         try:
-            got = expr_eval(parse(text), env["x1"], env["x2"],
-                            {"gamma": env["gamma"]})
+            got = expr_eval(parse(text, {"gamma": env["gamma"]}),
+                            env["x1"], env["x2"])
         except EvalError:
             got = None
         if want is None or got is None:
