@@ -58,14 +58,14 @@ class TestSolve:
         assert "fill" not in summary["solves"][0]
 
     def test_quadratic_solve_records_splu(self, tmp_path):
+        # named for what P2 recorded before its K_II took the sine solve
         config = write_config(tmp_path, {"problem": "example1", "degree": 2})
         out = tmp_path / "run"
         assert main(["solve", "--config", config, "--level", "1",
                      "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["solves"][0]["interior"] == "splu"
-        fill = summary["solves"][0]["fill"]
-        assert isinstance(fill, int) and fill > 0
+        assert summary["solves"][0]["interior"] == "dst"
+        assert "fill" not in summary["solves"][0]
 
     def test_control_column_matches_boundary_trace(self, tmp_path):
         out = tmp_path / "run"

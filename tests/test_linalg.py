@@ -171,7 +171,7 @@ class TestSolveBlock:
         assert len(logged) == 1
         assert logged[0].levelno == logging.DEBUG
         assert logged[0].getMessage() == "solve record %s" % (stats,)
-        assert set(stats) == {"iterations", "interior", "fill", "residual",
+        assert set(stats) == {"iterations", "interior", "residual",
                               "galerkin", "adjoint"}
 
     def test_extended_casts_do_not_grow_with_the_sweeps(self, monkeypatch):
@@ -194,6 +194,39 @@ class TestSolveBlock:
         solve_block(system, SolverConfig(spec.solver_tolerance), stats=stats)
         assert len(stats["iterations"]) >= 2, stats
         assert len(casts) <= 4, stats
+
+    @pytest.mark.parametrize("norms,atol,kept,sweeps", [
+        ([8, 3, 2.9], 1, 2, 2),      # halved, then lowered a little: kept
+        ([8, 3, 3.1], 1, 1, 2),      # halved, then raised: not kept
+        ([8, 9], 1, 0, 1),           # raised at once
+        ([8, 4, 2, 1, 0.5], 0, 3, 3),  # halving all along: three sweeps
+        ([8, 2, 0.5], 1, 2, 2),      # at atol
+        ([0.5], 1, 0, 0),            # at atol before any sweep
+    ])
+    def test_refinement_stops_unless_a_sweep_halves_the_residual(
+            self, norms, atol, kept, sweeps):
+        # iterate k has residual norm norms[k]; each sweep adds 1
+        calls = []
+
+        def apply_inverse(r):
+            calls.append(1)
+            return np.ones(1)
+
+        x, r = linalg._refine(np.zeros(1),
+                              lambda x: np.array([norms[int(x[0])]]),
+                              apply_inverse, atol)
+        assert (x[0], r[0], len(calls)) == (kept, norms[kept], sweeps)
+
+    def test_p2_sweeps_stop_when_the_residual_stagnates(self):
+        # example1 level 5 at degree 2: the first sweep lowers the
+        # residual 3.5x and the second by nothing; the parent ran a third
+        spec = dataclasses.replace(load_config("example1"), degree=2)
+        system = build_block_system(
+            DofMap(mesh_hierarchy(spec.domain, 5)[-1], 2), spec.gamma,
+            spec.field(spec.f), spec.field(spec.y_d))
+        stats = {}
+        solve_block(system, SolverConfig(spec.solver_tolerance), stats=stats)
+        assert len(stats["iterations"]) <= 3, stats
 
     def test_iteration_limit_raises(self, monkeypatch):
         monkeypatch.setattr(linalg, "_MAX_CG_ITERATIONS", 2)
@@ -249,18 +282,20 @@ class TestBitwiseSolve:
     of the solver, the residual or the refinement sweeps changes the
     digests of every problem it touches.  The solution digests were
     recorded while A and C were stored copies of the stiffness rows and
-    columns."""
+    columns; those of example1-p2 again when its K_II moved from splu to
+    sine transforms and the sweeps began to stop on stagnation, after
+    Y and Z were checked against coupled_lu_solve at every level."""
 
     SOLUTION_DIGESTS = {
         "example1": "059a70119d08aa57",
         "example1-gamma0.01": "29a9868433b122fe",
-        "example1-p2": "e3cbdeac216843ee",
+        "example1-p2": "e9bbe06b16ee0767",
         "example2": "7808b75f83193fa1",
     }
     RECORD_DIGESTS = {
         "example1": "0aa5926276940d2a",
         "example1-gamma0.01": "079443100f5afa37",
-        "example1-p2": "85b557b71c999f3c",
+        "example1-p2": "a02df491151fbe79",
         "example2": "bf9e9fcd2ff6ef76",
     }
 
@@ -379,8 +414,9 @@ def interior_block(rect, level, degree=1):
 
 
 class TestInteriorSolver:
-    """K_II of P1 on these meshes is the 5-point Laplacian, solved by
-    sine transforms; everything else is factored with splu."""
+    """K_II of P1 on these meshes is the 5-point Laplacian, and K_II of
+    P2 is block diagonal in the sine basis; both are solved by sine
+    transforms.  Everything else is factored with splu."""
 
     @pytest.mark.parametrize("rect", RECTANGLES)
     def test_p1_interior_stiffness_is_the_five_point_operator(self, rect):
@@ -402,14 +438,39 @@ class TestInteriorSolver:
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_p2_takes_splu(self, level):
-        # at level 0 the nine P2 interior nodes fill a uniform 3 x 3 grid
-        # and K_II has at most five entries per row; only the operator
-        # identity rejects it
+        # named for what P2 took before its symbol was probed: it now
+        # takes the sine solve.  At level 0 the nine P2 interior nodes
+        # fill a uniform 3 x 3 grid and K_II has at most five entries per
+        # row; the 5-point identity rejects it, the probed symbol not.
         K, xy = interior_block(RECTANGLES[0], level, degree=2)
-        assert _interior_solver(K, xy)[1]["interior"] == "splu"
+        assert _interior_solver(K, xy)[1] == {"interior": "dst"}
         stats = {}
         solve_block(example_system(level=level, degree=2), stats=stats)
-        assert stats["interior"] == "splu"
+        assert stats["interior"] == "dst"
+        assert "fill" not in stats
+
+    @pytest.mark.parametrize("rect", RECTANGLES)
+    def test_p2_symbol_couples_each_mode_only_to_its_flips(self, rect):
+        from scipy.fft import dstn
+        K, xy = p2_block(rect, 3)
+        cell, (m, n), _ = _uniform_grid(xy)
+        # Q from node values in K's order to modes (i, j) in row-major
+        # order; the grid's Q is symmetric
+        Q = dstn(np.eye(m * n).reshape(-1, m, n), type=1, norm="ortho",
+                 axes=(1, 2)).reshape(m * n, m * n)[:, cell]
+        T = Q @ K.toarray() @ Q.T
+        i, j = np.divmod(np.arange(m * n), n)
+        flips = (((i[:, None] == i) | (i[:, None] == m - 1 - i))
+                 & ((j[:, None] == j) | (j[:, None] == n - 1 - j)))
+        bound = 1e-12 * abs(K).sum(axis=1).max()
+        assert np.abs(T[~flips]).max() <= bound
+        assert np.abs(T[flips]).max() > 1e6 * bound
+
+    def test_p2_nodes_off_the_grid_take_splu(self):
+        K, xy = p2_block(RECTANGLES[2], 3)
+        xy = xy + 1e-6 * np.random.default_rng(3).standard_normal(xy.shape)
+        assert _uniform_grid(xy) is None
+        assert _interior_solver(K, xy)[1]["interior"] == "splu"
 
     def test_perturbed_entry_takes_splu(self):
         def perturbed(K):
@@ -433,6 +494,20 @@ class TestInteriorSolver:
         stats = {}
         solve_block(system, stats=stats)
         assert stats["interior"] == "splu"
+        # P2: one off-diagonal entry scaled by 1 + 1e-8 fails the check
+        # of the probed solve
+        K, xy = p2_block(RECTANGLES[1], 3)
+        K = K.tocoo()
+        data = K.data.copy()
+        data[np.flatnonzero(K.row != K.col)[0]] *= 1 + 1e-8
+        K = sp.csr_matrix((data, (K.row, K.col)), shape=K.shape)
+        assert _interior_solver(K, xy)[1]["interior"] == "splu"
+
+    def test_singular_grid_matrix_raises_solver_error(self):
+        # its probed blocks are singular, and so is the splu fallback
+        K, xy = interior_block(RECTANGLES[0], 2)
+        with pytest.raises(SolverError, match="interior stiffness"):
+            _interior_solver(sp.csr_matrix(K.shape), xy)
 
     @pytest.mark.parametrize("change", [
         None,
@@ -494,15 +569,21 @@ class TestInteriorSolver:
 
     @pytest.mark.parametrize("rect", RECTANGLES)
     def test_sine_solve_matches_splu(self, rect):
-        K, xy = interior_block(rect, 5)
-        f = np.random.default_rng(11).standard_normal(K.shape[0])
-        want = linalg._factor(K, "test").solve(f)
-        got = _interior_solver(K, xy)[0](f)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # P1 at level 5, P2 at levels 0-5
+        blocks = [interior_block(rect, 5)]
+        blocks += [p2_block(rect, level) for level in range(6)]
+        for K, xy in blocks:
+            f = np.random.default_rng(11).standard_normal(K.shape[0])
+            want = linalg._factor(K, "test").solve(f)
+            solve, record = _interior_solver(K, xy)
+            assert record == {"interior": "dst"}
+            got = solve(f)
+            assert (np.linalg.norm(got - want)
+                    <= 1e-12 * np.linalg.norm(want)), K.shape
 
-    @pytest.mark.parametrize("degree,calls", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("degree,calls", [(1, 1), (2, 1)])
     def test_splu_calls_of_a_reduced_solve(self, monkeypatch, degree, calls):
-        # P1: only the boundary-mass preconditioner; P2: K_II as well
+        # only the boundary-mass preconditioner, for P1 and P2 alike
         count = []
         original = linalg.splu
 
@@ -545,7 +626,9 @@ def p2_block(rect, level):
 
 
 class TestDissectionOrder:
-    """The splu fallback for K_II factors it in nested-dissection order."""
+    """The splu fallback for K_II factors it in nested-dissection order.
+    P2 on these meshes takes the sine solve, so its K_II serves here as a
+    test matrix for _dissected_solver."""
 
     @pytest.mark.parametrize("rect", RECTANGLES)
     @pytest.mark.parametrize("degree,level", [(1, 0), (2, 0), (1, 4),
@@ -589,14 +672,16 @@ class TestDissectionOrder:
         K, xy = p2_block(rect, level)
         f = np.random.default_rng(13).standard_normal(K.shape[0])
         want = linalg._factor(K, "test").solve(f)
-        got = _interior_solver(K, xy)[0](f)
+        solve, record = linalg._dissected_solver(K, xy)
+        assert record["interior"] == "splu"
+        got = solve(f)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_fill_below_colamd(self):
         # measured: 1,162,718 entries against COLAMD's 2,496,400; COLAMD
         # on top of the dissection order keeps about COLAMD's fill
         K, xy = p2_block(RECTANGLES[0], 5)
-        nd = _interior_solver(K, xy)[1]["fill"]
+        nd = linalg._dissected_solver(K, xy)[1]["fill"]
         assert nd < 0.6 * linalg._factor(K, "test").nnz
 
 
