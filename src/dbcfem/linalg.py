@@ -12,13 +12,16 @@ leaves one system for Y_B alone,
 
 solved by CG preconditioned with -B_BB = M_BB + gamma M_Gamma,BB; each
 product with H costs two solves with K_II.  Z follows from the interior
-rows, K_II Z = G_I - (B Y)_I.  When K_II is the 5-point Laplacian of a
-uniform grid (P1 on the rectangle meshes), as checked entry by entry
-against the stencil, type-I sine transforms diagonalize it.  Any other
-K_II is factored with splu in a nested-dissection order built from the
-node coordinates, with each separator read off K_II's sparsity
-pattern.  A solve sets up once the K_II solve, the stop threshold of
-CG and the sweeps, and their 80-bit residual map.
+rows, K_II Z = G_I - (B Y)_I.  When the interior nodes fill a uniform
+grid (P1 and P2 on the rectangle meshes), K_II is solved by type-I sine
+transforms.  In their basis the 5-point Laplacian of P1, checked entry
+by entry against the stencil, is diagonal, and the P2 K_II is block
+diagonal with blocks of at most 4 x 4, which are probed and then
+confirmed by a fixed-seed solve.  Every other K_II is factored with
+splu in a nested-dissection order built from the node coordinates, with
+each separator read off K_II's sparsity pattern.  A solve sets up once
+the K_II solve, the stop threshold of CG and the sweeps, and their
+80-bit residual map.
 """
 
 import logging
@@ -86,9 +89,11 @@ def _norm_ratio(r, b):
 
 def _refine(x, residual_of, apply_inverse, atol):
     """Up to three refinement sweeps, until the residual norm is at most
-    atol or a sweep does not lower it; returns the best iterate and its
-    residual vector.  A solution at the floor of double precision cannot
-    improve, so further sweeps would repeat the work.
+    atol; returns the best iterate and its residual vector.  A sweep's
+    iterate is kept if it lowers the residual norm, and the sweeps stop
+    unless it at least halved it: a solution near the floor of double
+    precision improves by little or not at all, so further sweeps would
+    repeat the work (the stagnation test of Demmel et al., 2006).
     """
     r = residual_of(x)
     rnorm = _norm(r)
@@ -98,9 +103,11 @@ def _refine(x, residual_of, apply_inverse, atol):
         x_new = x + apply_inverse(r.astype(np.float64))
         r_new = residual_of(x_new)
         rnorm_new = _norm(r_new)
-        if not rnorm_new < rnorm:
+        if rnorm_new < rnorm:
+            x, r = x_new, r_new
+        if not rnorm_new <= 0.5 * rnorm:
             break
-        x, r, rnorm = x_new, r_new, rnorm_new
+        rnorm = rnorm_new
     return x, r
 
 
@@ -194,26 +201,24 @@ def _dissection_order(K, xy):
     return np.argsort(part, kind="stable")
 
 
-def _interior_solver(K_II, xy):
-    """(solve, record) for the interior stiffness K_II, whose rows
-    belong to the interior node coordinates xy: solve(f) = K_II^-1 f,
-    and record is {"interior": "dst"} or {"interior": "splu", "fill":
-    the entries SuperLU stores for the L and U factors}.
-
-    The sine-transform solve is taken only if K_II has at most five
-    entries per row, the nodes fill a uniform m x n grid and K_II equals
-    a·T_m⊗I_n + b·I_m⊗T_n, T = tridiag(-1, 2, -1), to 1e-12 relative,
-    checked on every call; the orthonormal type-I DST diagonalizes T
-    (Buzbee, Golub & Nielson, 1970).  The check reads K_II's own stored
-    entries: each must lie at a grid offset of the 5-point stencil and
-    hold its value there (2(a+b) on the diagonal, -a one step in x, -b
-    one step in y), and they must fill each stencil position of the
-    grid once.  Otherwise K_II is factored with splu in
-    nested-dissection order, with no further column permutation.
+def _sine_solver(K_II, cell, shape, spacing):
+    """solve(f) = K_II^-1 f through the orthonormal 2D type-I DST Q of
+    the grid that _uniform_grid found (cell, shape and spacing are its
+    result), or None when K_II fails both checks of _interior_solver.
     """
-    grid = _uniform_grid(xy) if K_II.nnz <= 5 * K_II.shape[0] else None
-    if grid is not None:
-        cell, (m, n), (hx, hy) = grid
+    from scipy.fft import dstn  # only the grid paths need scipy.fft
+    m, n = shape
+
+    def grid(f):                 # node values as an m x n array
+        u = np.empty(m * n)
+        u[cell] = f
+        return u.reshape(m, n)
+
+    def Q(u):                    # Q = Qᵀ = Q⁻¹
+        return dstn(u, type=1, norm="ortho")
+
+    if K_II.nnz <= 5 * K_II.shape[0]:
+        hx, hy = spacing
         a, b = hy / hx, hx / hy
         E = K_II.tocoo()
         ix, iy = np.divmod(cell, n)
@@ -226,18 +231,66 @@ def _interior_solver(K_II, xy):
                                                  + 2)) == count
                 and (np.abs(E.data - stencil).max()
                      <= 1e-12 * np.abs(E.data).max())):
-            from scipy.fft import dstn  # only this path needs scipy.fft
             lam = lambda k: 4.0 * np.sin(0.5 * np.pi * np.arange(1, k + 1)
                                          / (k + 1)) ** 2
             eig = a * lam(m)[:, None] + b * lam(n)[None, :]
+            return lambda f: Q(Q(grid(f)) / eig).ravel()[cell]
 
-            def sine_solve(f):
-                u = np.empty(len(cell))
-                u[cell] = f
-                u = dstn(u.reshape(m, n), type=1, norm="ortho")
-                return dstn(u / eig, type=1, norm="ortho").ravel()[cell]
+    # T = Q·K_II·Q couples mode (i, j) only to its flips (m-1-i, j),
+    # (i, n-1-j) and (m-1-i, n-1-j).  probe[c] is T times the indicator
+    # of the quadrant c = 2·(high in x) + (high in y) of the modes, high
+    # meaning i > m-1-i; it holds each mode's coupling to its one flip
+    # in that quadrant.
+    def flip(u, s):              # u mirrored in x if s & 2, in y if s & 1
+        return u[::-1 if s & 2 else 1, ::-1 if s & 1 else 1]
 
-            return sine_solve, {"interior": "dst"}
+    high = [np.arange(k) > (k - 1) / 2 for k in (m, n)]
+    probe = []
+    for c in range(4):
+        e = np.outer(high[0] == c >> 1, high[1] == c & 1).astype(float)
+        probe.append(Q(grid(K_II @ Q(e).ravel()[cell])))
+    # the 4 x 4 block of each low mode p and its flips: row r, column c
+    # is T's coupling of flip(p, r) to flip(p, c)
+    m2, n2 = (m + 1) // 2, (n + 1) // 2
+    block = np.empty((m2, n2, 4, 4))
+    for r in range(4):
+        for c in range(4):
+            block[:, :, r, c] = flip(probe[c], r)[:m2, :n2]
+    # a middle mode of an odd axis is its own flip: the columns of that
+    # flip are 0 and its rows repeat the mode's own, so unit rows stand
+    # in for them
+    unit = np.eye(4)
+    if m % 2:
+        block[-1, :, 2:] = unit[2:]
+    if n % 2:
+        block[:, -1, 1::2] = unit[1::2]
+    try:
+        W = np.linalg.inv(block)
+    except np.linalg.LinAlgError:
+        return None
+    # (T⁻¹v)(q) = Σ_k D[k](q)·v(flip(q, k)); a mode q = flip(p, s) reads
+    # row s of p's inverse.  Lower s is written later, so a middle mode
+    # keeps its own row, not the unit row of its duplicate.
+    D = np.empty((4, m, n))
+    for s in (3, 2, 1, 0):
+        for k in range(4):
+            flip(D[k], s)[:m2, :n2] = W[:, :, s, k ^ s]
+
+    def probed_solve(f):
+        v = Q(grid(f))
+        return Q(sum(d * flip(v, k) for k, d in enumerate(D))).ravel()[cell]
+
+    # the backward error of one fixed-seed solve
+    f = np.random.default_rng(0).standard_normal(K_II.shape[0])
+    x = probed_solve(f)
+    scale = _norm(f) + float(abs(K_II).sum(axis=1).max()) * _norm(x)
+    return probed_solve if _norm(K_II @ x - f) <= 1e-12 * scale else None
+
+
+def _dissected_solver(K_II, xy):
+    """(solve, record) for K_II by splu in nested-dissection order, with
+    no further column permutation: record is {"interior": "splu",
+    "fill": the entries SuperLU stores for the L and U factors}."""
     p = _dissection_order(K_II, xy)
     lu = _factor(K_II[p][:, p], "interior stiffness", permc_spec="NATURAL")
 
@@ -247,6 +300,38 @@ def _interior_solver(K_II, xy):
         return x
 
     return dissected_solve, {"interior": "splu", "fill": lu.nnz}
+
+
+def _interior_solver(K_II, xy):
+    """(solve, record) for the interior stiffness K_II, whose rows
+    belong to the interior node coordinates xy: solve(f) = K_II^-1 f,
+    and record is {"interior": "dst"} or _dissected_solver's.
+
+    When the nodes fill a uniform m x n grid, K_II is solved with the
+    orthonormal type-I DST Q of that grid (Buzbee, Golub & Nielson,
+    1970; Lynch, Rice & Thomas, 1964) in one of two ways, each checked
+    on every call:
+    - If K_II has at most five entries per row and equals
+      a·T_m⊗I_n + b·I_m⊗T_n, T = tridiag(-1, 2, -1), to 1e-12 relative
+      (P1 on the rectangle meshes), Q diagonalizes it with known
+      eigenvalues.  The check reads K_II's own stored entries: each must
+      lie at a grid offset of the 5-point stencil and hold its value
+      there (2(a+b) on the diagonal, -a one step in x, -b one step in
+      y), and they must fill each stencil position of the grid once.
+    - Otherwise (P2 on the rectangle meshes, whose nodes alternate
+      vertex and midpoint and whose mesh is mirror-symmetric about every
+      grid line) Q·K_II·Q couples each mode only to its mirror images in
+      x, in y and in both.  Four products with K_II probe those blocks
+      of at most 4 x 4, which are inverted once.  This solve is taken
+      only if a fixed-seed one has ‖K_II x - f‖ <= 1e-12·(‖f‖ +
+      ‖K_II‖∞·‖x‖).
+    Every other K_II is factored by _dissected_solver.
+    """
+    grid = _uniform_grid(xy)
+    solve = _sine_solver(K_II, *grid) if grid is not None else None
+    if solve is not None:
+        return solve, {"interior": "dst"}
+    return _dissected_solver(K_II, xy)
 
 
 def _reduced_solver(system, atol, stats):
@@ -302,8 +387,10 @@ def solve_block(system, config=None, stats=None):
                   LevelSolution.stats and the run records carry whole:
                   "iterations": the CG count of the first solve and of
                   each refinement sweep, "interior": the K_II solver,
-                  "dst" or "splu", "fill": the entries SuperLU stores for
-                  the L and U factors of K_II (only with "splu"),
+                  "dst" (sine transforms, P1 and P2 on the rectangle
+                  meshes) or "splu", "fill": the entries SuperLU stores
+                  for the L and U factors of K_II (written only with
+                  "splu"),
                   "residual": the relative residual of the gate, and
                   "galerkin" and "adjoint": its state-row block over
                   ‖F‖ and adjoint-row block over ‖G‖ (unscaled when F
