@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.fft import dstn
 from scipy.io import mmread, mmwrite
 
 import dbcfem.linalg as linalg
@@ -219,7 +220,8 @@ class TestSolveBlock:
 
     def test_p2_sweeps_stop_when_the_residual_stagnates(self):
         # example1 level 5 at degree 2: the first sweep lowers the
-        # residual 3.5x and the second by nothing; the parent ran a third
+        # residual 3.5x and the second does not lower it, so no third
+        # sweep runs
         spec = dataclasses.replace(load_config("example1"), degree=2)
         system = build_block_system(
             DofMap(mesh_hierarchy(spec.domain, 5)[-1], 2), spec.gamma,
@@ -451,7 +453,6 @@ class TestInteriorSolver:
 
     @pytest.mark.parametrize("rect", RECTANGLES)
     def test_p2_symbol_couples_each_mode_only_to_its_flips(self, rect):
-        from scipy.fft import dstn
         K, xy = p2_block(rect, 3)
         cell, (m, n), _ = _uniform_grid(xy)
         # Q from node values in K's order to modes (i, j) in row-major
