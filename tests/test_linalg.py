@@ -467,6 +467,26 @@ class TestInteriorSolver:
         assert np.abs(T[~flips]).max() <= bound
         assert np.abs(T[flips]).max() > 1e6 * bound
 
+    @pytest.mark.parametrize("m,n", [(4, 6), (5, 6), (2, 3), (7, 9)])
+    def test_probed_solve_on_even_and_odd_grids(self, m, n):
+        # a 9-point operator, diagonal in the sine basis, plus diagonal
+        # terms of period 2, which couple each mode to its flips only;
+        # P2 grids are always odd, so this covers the even axes, in a
+        # shuffled node order
+        T = lambda k, d: sp.diags([-1.0, d, -1.0], [-1, 0, 1], shape=(k, k))
+        i, j = np.arange(m) % 2, np.arange(n) % 2
+        K = (sp.kron(T(m, 4.0), T(n, 4.0)) + sp.kron(T(m, 2.0), sp.identity(n))
+             + sp.diags((0.7 * np.add.outer(i, j)
+                         + 0.3 * np.outer(i, j)).ravel())).tocsr()
+        xy = np.column_stack([np.repeat(0.1 * np.arange(m), n),
+                              np.tile(0.2 * np.arange(n), m)])
+        q = np.random.default_rng(5).permutation(m * n)
+        K, xy = K[q][:, q], xy[q]
+        solve, record = _interior_solver(K, xy)
+        assert record == {"interior": "dst"}
+        f = np.random.default_rng(6).standard_normal(m * n)
+        assert np.linalg.norm(K @ solve(f) - f) <= 1e-14 * np.linalg.norm(f)
+
     def test_p2_nodes_off_the_grid_take_splu(self):
         K, xy = p2_block(RECTANGLES[2], 3)
         xy = xy + 1e-6 * np.random.default_rng(3).standard_normal(xy.shape)
