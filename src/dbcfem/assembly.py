@@ -255,8 +255,8 @@ class BlockSystem:
     interior -- the Z (and test-row) index set I into 0..N
     boundary -- the sorted complement of I, derived on each access
     coords   -- N x 2 node coordinates of the dofs; they let the solver
-                recognize the 5-point interior stiffness and order the
-                factorization of any other
+                recognize a uniform grid of interior nodes, on which it
+                solves the interior stiffness by sine transforms
     """
 
     K: sp.csr_matrix

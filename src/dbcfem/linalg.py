@@ -17,22 +17,18 @@ grid (P1 and P2 on the rectangle meshes), K_II is solved by type-I sine
 transforms.  In their basis the 5-point Laplacian of P1, checked entry
 by entry against the stencil, is diagonal, and the P2 K_II is block
 diagonal with blocks of at most 4 x 4, which are probed and then
-confirmed by a fixed-seed solve.  Every other K_II is factored with
-splu in a nested-dissection order built from the node coordinates, with
-each separator read off K_II's sparsity pattern.  A solve sets up once
-the K_II solve, the stop threshold of CG and the sweeps, and their
-80-bit residual map.
+confirmed by a fixed-seed solve.  Every other K_II is factored once
+with splu.  A solve sets up once the K_II solve, the stop threshold of
+CG and the sweeps, and their 80-bit residual map.
 """
 
 import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 _MAX_CG_ITERATIONS = 200
-_DISSECTION_LEAF = 16            # parts this small are not split further
 
 
 class SolverError(RuntimeError):
@@ -111,9 +107,9 @@ def _refine(x, residual_of, apply_inverse, atol):
     return x, r
 
 
-def _factor(matrix, what, **options):
+def _factor(matrix, what):
     try:
-        return splu(matrix.tocsc(), **options)
+        return splu(matrix.tocsc())
     except RuntimeError as err:
         raise SolverError("factorization of the %s failed (%s); for gamma "
                           "> 0 it should never be singular" % (what, err))
@@ -136,69 +132,6 @@ def _uniform_grid(xy):
             or np.abs(np.diff(ys) - hy).max() > 1e-10 * hy):
         return None
     return cell, (m, n), (hx, hy)
-
-
-def _dissection_order(K, xy):
-    """A nested-dissection order p of the rows of K, whose rows belong
-    to the points xy: factor K[p][:, p] (George, 1973).
-
-    All parts of one level are split at once.  A part of more than
-    _DISSECTION_LEAF points is cut at the median of its longer
-    coordinate extent; the separator is read off K's sparsity pattern,
-    as the low-side points with an entry to or from the high side.  The
-    two halves come first and the separator last, so no entry of K
-    couples the halves; this holds on any mesh, as it rests on the
-    pattern and not on the geometry.
-    """
-    n = K.shape[0]
-    A = abs(K.tocsr())
-    E = sp.triu(A + A.T, k=1).tocoo()     # each coupling once, i < j
-    ei, ej = E.row.astype(np.intp), E.col.astype(np.intp)
-    rank = np.empty((2, n), dtype=np.int64)
-    for a in (0, 1):
-        rank[a, np.argsort(xy[:, a])] = np.arange(n)
-    part = np.zeros(n, dtype=np.int64)    # order-preserving part labels
-    live = np.ones(n, dtype=bool)         # in a part still to be split
-    while True:
-        idx = np.flatnonzero(live)
-        g = part[idx]
-        num = part.max(initial=0) + 1
-        size = np.bincount(g, minlength=num)
-        lo = np.full((2, num), np.inf)
-        hi = np.full((2, num), -np.inf)
-        for a in (0, 1):
-            np.minimum.at(lo[a], g, xy[idx, a])
-            np.maximum.at(hi[a], g, xy[idx, a])
-        extent = hi - lo
-        split = (size > _DISSECTION_LEAF) & (extent.max(axis=0) > 0)
-        keep = split[g]
-        live[idx[~keep]] = False
-        if not keep.any():
-            break
-        idx, g = idx[keep], g[keep]
-        size = np.where(split, size, 0)
-        axis = extent.argmax(axis=0)
-        c = xy[idx, axis[g]]
-        by_c = np.argsort(g * n + rank[axis[g], idx])
-        median = np.zeros(num)
-        median[split] = c[by_c[(np.cumsum(size) - size + size // 2)[split]]]
-        at_max = median == hi[axis, np.arange(num)]
-        high = np.where(at_max[g], c >= median[g], c > median[g])
-        # low 3·part, high 3·part + 1: only a low and a high point of one
-        # part differ by exactly 1; -5 marks the points not being split
-        key = np.full(n, -5, dtype=np.int64)
-        key[idx] = 3 * g + high
-        d = key[ej] - key[ei]
-        digit = np.zeros(n, dtype=np.int64)   # low 0, high 1, separator 2
-        digit[idx[high]] = 1
-        digit[ei[d == 1]] = 2
-        digit[ej[d == -1]] = 2
-        live[digit == 2] = False
-        label = 3 * part + digit
-        used = np.zeros(3 * num, dtype=bool)
-        used[label] = True
-        part = (np.cumsum(used) - 1)[label]
-    return np.argsort(part, kind="stable")
 
 
 def _sine_solver(K_II, cell, shape, spacing):
@@ -287,25 +220,11 @@ def _sine_solver(K_II, cell, shape, spacing):
     return probed_solve if _norm(K_II @ x - f) <= 1e-12 * scale else None
 
 
-def _dissected_solver(K_II, xy):
-    """(solve, record) for K_II by splu in nested-dissection order, with
-    no further column permutation: record is {"interior": "splu",
-    "fill": the entries SuperLU stores for the L and U factors}."""
-    p = _dissection_order(K_II, xy)
-    lu = _factor(K_II[p][:, p], "interior stiffness", permc_spec="NATURAL")
-
-    def dissected_solve(f):
-        x = np.empty(len(p))
-        x[p] = lu.solve(f[p])
-        return x
-
-    return dissected_solve, {"interior": "splu", "fill": lu.nnz}
-
-
 def _interior_solver(K_II, xy):
     """(solve, record) for the interior stiffness K_II, whose rows
     belong to the interior node coordinates xy: solve(f) = K_II^-1 f,
-    and record is {"interior": "dst"} or _dissected_solver's.
+    and record is {"interior": "dst"} or {"interior": "splu", "fill":
+    the entries SuperLU stores for the L and U factors}.
 
     When the nodes fill a uniform m x n grid, K_II is solved with the
     orthonormal type-I DST Q of that grid (Buzbee, Golub & Nielson,
@@ -325,13 +244,14 @@ def _interior_solver(K_II, xy):
       of at most 4 x 4, which are inverted once.  This solve is taken
       only if a fixed-seed one has ‖K_II x - f‖ <= 1e-12·(‖f‖ +
       ‖K_II‖∞·‖x‖).
-    Every other K_II is factored by _dissected_solver.
+    Every other K_II is factored once by splu in its default order.
     """
     grid = _uniform_grid(xy)
     solve = _sine_solver(K_II, *grid) if grid is not None else None
     if solve is not None:
         return solve, {"interior": "dst"}
-    return _dissected_solver(K_II, xy)
+    lu = _factor(K_II, "interior stiffness")
+    return lu.solve, {"interior": "splu", "fill": lu.nnz}
 
 
 def _reduced_solver(system, atol, stats):
@@ -388,9 +308,10 @@ def solve_block(system, config=None, stats=None):
                   "iterations": the CG count of the first solve and of
                   each refinement sweep, "interior": the K_II solver,
                   "dst" (sine transforms, P1 and P2 on the rectangle
-                  meshes) or "splu", "fill": the entries SuperLU stores
-                  for the L and U factors of K_II (written only with
-                  "splu"),
+                  meshes) or "splu" (one factor, in splu's default
+                  order; on the presets only the 1 x 1 K_II of P1
+                  level 0), "fill": the entries SuperLU stores for the
+                  L and U factors of K_II (written only with "splu"),
                   "residual": the relative residual of the gate, and
                   "galerkin" and "adjoint": its state-row block over
                   ‖F‖ and adjoint-row block over ‖G‖ (unscaled when F

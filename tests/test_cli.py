@@ -57,8 +57,7 @@ class TestSolve:
         assert summary["solves"][0]["interior"] == "dst"
         assert "fill" not in summary["solves"][0]
 
-    def test_quadratic_solve_records_splu(self, tmp_path):
-        # named for what P2 recorded before its K_II took the sine solve
+    def test_quadratic_solve_records_dst(self, tmp_path):
         config = write_config(tmp_path, {"problem": "example1", "degree": 2})
         out = tmp_path / "run"
         assert main(["solve", "--config", config, "--level", "1",

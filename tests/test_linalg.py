@@ -15,6 +15,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.fft import dstn
 from scipy.io import mmread, mmwrite
+from scipy.sparse.linalg import splu
 
 import dbcfem.linalg as linalg
 from dbcfem.assembly import BlockSystem, DofMap, build_block_system
@@ -439,11 +440,10 @@ class TestInteriorSolver:
             assert _interior_solver(K, xy)[1]["interior"] == "dst", level
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
-    def test_p2_takes_splu(self, level):
-        # named for what P2 took before its symbol was probed: it now
-        # takes the sine solve.  At level 0 the nine P2 interior nodes
-        # fill a uniform 3 x 3 grid and K_II has at most five entries per
-        # row; the 5-point identity rejects it, the probed symbol not.
+    def test_p2_takes_dst(self, level):
+        # at level 0 the nine P2 interior nodes fill a uniform 3 x 3 grid
+        # and K_II has at most five entries per row; the 5-point identity
+        # rejects it, the probed symbol not.
         K, xy = interior_block(RECTANGLES[0], level, degree=2)
         assert _interior_solver(K, xy)[1] == {"interior": "dst"}
         stats = {}
@@ -491,7 +491,10 @@ class TestInteriorSolver:
         K, xy = p2_block(RECTANGLES[2], 3)
         xy = xy + 1e-6 * np.random.default_rng(3).standard_normal(xy.shape)
         assert _uniform_grid(xy) is None
-        assert _interior_solver(K, xy)[1]["interior"] == "splu"
+        solve, record = _interior_solver(K, xy)
+        assert record == {"interior": "splu", "fill": splu(K.tocsc()).nnz}
+        f = np.random.default_rng(17).standard_normal(K.shape[0])
+        assert np.linalg.norm(K @ solve(f) - f) <= 1e-12 * np.linalg.norm(f)
 
     def test_perturbed_entry_takes_splu(self):
         def perturbed(K):
@@ -617,93 +620,11 @@ class TestInteriorSolver:
         assert len(count) == calls
 
 
-def recursive_dissection(K, xy, leaf=linalg._DISSECTION_LEAF):
-    """The nested-dissection order one part at a time, by recursion, and
-    its splits as (start, low, high, separator) sizes in that order."""
-    S = (abs(K) + abs(K).T).tocsr()
-    splits = []
-
-    def order(nodes, start):
-        if len(nodes) <= leaf or np.ptp(xy[nodes], axis=0).max() == 0:
-            return nodes
-        c = xy[nodes, np.argmax(np.ptp(xy[nodes], axis=0))]
-        median = np.sort(c)[len(c) // 2]
-        high = c >= median if median == c.max() else c > median
-        low, up = nodes[~high], nodes[high]
-        on_sep = np.diff(S[low][:, up].tocsr().indptr) > 0
-        low, sep = low[~on_sep], low[on_sep]
-        splits.append((start, len(low), len(up), len(sep)))
-        return np.concatenate([order(low, start),
-                               order(up, start + len(low)), sep])
-
-    return order(np.arange(K.shape[0]), 0), splits
-
-
 @functools.lru_cache(maxsize=None)
 def p2_block(rect, level):
     """interior_block at degree 2, built once per test session; callers
     must not modify the matrix."""
     return interior_block(rect, level, degree=2)
-
-
-class TestDissectionOrder:
-    """The splu fallback for K_II factors it in nested-dissection order.
-    P2 on these meshes takes the sine solve, so its K_II serves here as a
-    test matrix for _dissected_solver."""
-
-    @pytest.mark.parametrize("rect", RECTANGLES)
-    @pytest.mark.parametrize("degree,level", [(1, 0), (2, 0), (1, 4),
-                                              (2, 2), (2, 3)])
-    def test_matches_the_recursive_bisection(self, rect, degree, level):
-        K, xy = interior_block(rect, level, degree)
-        want, _ = recursive_dissection(K, xy)
-        got = linalg._dissection_order(K, xy)
-        assert np.array_equal(np.sort(got), np.arange(K.shape[0]))
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("shuffle", [False, True])
-    @pytest.mark.parametrize("rect", RECTANGLES)
-    def test_no_entry_couples_the_halves_of_a_split(self, rect, shuffle):
-        K, xy = p2_block(rect, 3)
-        if shuffle:               # any numbering of the nodes
-            q = np.random.default_rng(7).permutation(K.shape[0])
-            K, xy = K[q][:, q], xy[q]
-        p = linalg._dissection_order(K, xy)
-        want, splits = recursive_dissection(K, xy)
-        assert np.array_equal(p, want)
-        assert len(splits) > 10
-        Kp = K[p][:, p].tocsr()
-        for start, low, high, _ in splits:
-            a, b = slice(start, start + low), slice(start + low,
-                                                    start + low + high)
-            assert Kp[a, b].count_nonzero() == 0
-            assert Kp[b, a].count_nonzero() == 0
-
-    def test_one_sided_entries_separate_as_well(self):
-        # the separator comes from the pattern of K + K^T: an entry in
-        # one triangle only couples its two nodes just the same
-        K, xy = p2_block(RECTANGLES[3], 3)
-        p = linalg._dissection_order(K, xy)
-        for half in (sp.tril(K), sp.triu(K)):
-            assert np.array_equal(linalg._dissection_order(half, xy), p)
-
-    @pytest.mark.parametrize("level", [3, 4, 5])
-    @pytest.mark.parametrize("rect", RECTANGLES)
-    def test_solve_matches_colamd(self, rect, level):
-        K, xy = p2_block(rect, level)
-        f = np.random.default_rng(13).standard_normal(K.shape[0])
-        want = linalg._factor(K, "test").solve(f)
-        solve, record = linalg._dissected_solver(K, xy)
-        assert record["interior"] == "splu"
-        got = solve(f)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-    def test_fill_below_colamd(self):
-        # measured: 1,162,718 entries against COLAMD's 2,496,400; COLAMD
-        # on top of the dissection order keeps about COLAMD's fill
-        K, xy = p2_block(RECTANGLES[0], 5)
-        nd = linalg._dissected_solver(K, xy)[1]["fill"]
-        assert nd < 0.6 * linalg._factor(K, "test").nnz
 
 
 def test_import_does_not_load_scipy_fft():
