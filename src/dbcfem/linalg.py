@@ -14,11 +14,9 @@ solved by CG preconditioned with -B_BB = M_BB + gamma M_Gamma,BB; each
 product with H costs two solves with K_II.  Z follows from the interior
 rows, K_II Z = G_I - (B Y)_I.  When the interior nodes fill a uniform
 grid (P1 and P2 on the rectangle meshes), K_II is solved by type-I sine
-transforms.  In their basis the 5-point Laplacian of P1, checked entry
-by entry against the stencil, is diagonal, and the P2 K_II is block
-diagonal with blocks of at most 4 x 4, which are probed and then
-confirmed by a fixed-seed solve.  Every other K_II is factored once
-with splu.  A solve sets up once the K_II solve, the stop threshold of
+transforms: in their basis it is block diagonal with blocks of at most
+4 x 4, which are probed and then confirmed by a fixed-seed solve.
+Every other K_II is factored once with splu.  A solve sets up once the K_II solve, the stop threshold of
 CG and the sweeps, and their 80-bit residual map.
 """
 
@@ -116,9 +114,9 @@ def _factor(matrix, what):
 
 
 def _uniform_grid(xy):
-    """(cell, (m, n), (hx, hy)) when the points xy fill a uniformly
-    spaced m x n grid, m, n >= 2, once each; otherwise None.  cell is
-    the row-major grid position of each point, x index first.
+    """(cell, (m, n)) when the points xy fill a uniformly spaced m x n
+    grid, m, n >= 2, once each; otherwise None.  cell is the row-major
+    grid position of each point, x index first.
     """
     xs, ix = np.unique(xy[:, 0], return_inverse=True)
     ys, iy = np.unique(xy[:, 1], return_inverse=True)
@@ -131,13 +129,13 @@ def _uniform_grid(xy):
             or np.abs(np.diff(xs) - hx).max() > 1e-10 * hx
             or np.abs(np.diff(ys) - hy).max() > 1e-10 * hy):
         return None
-    return cell, (m, n), (hx, hy)
+    return cell, (m, n)
 
 
-def _sine_solver(K_II, cell, shape, spacing):
+def _sine_solver(K_II, cell, shape):
     """solve(f) = K_II^-1 f through the orthonormal 2D type-I DST Q of
-    the grid that _uniform_grid found (cell, shape and spacing are its
-    result), or None when K_II fails both checks of _interior_solver.
+    the grid that _uniform_grid found (cell and shape are its result),
+    or None when K_II fails the check of _interior_solver.
     """
     from scipy.fft import dstn  # only the grid paths need scipy.fft
     m, n = shape
@@ -149,25 +147,6 @@ def _sine_solver(K_II, cell, shape, spacing):
 
     def Q(u):                    # Q = Qᵀ = Q⁻¹
         return dstn(u, type=1, norm="ortho")
-
-    if K_II.nnz <= 5 * K_II.shape[0]:
-        hx, hy = spacing
-        a, b = hy / hx, hx / hy
-        E = K_II.tocoo()
-        ix, iy = np.divmod(cell, n)
-        dx, dy = ix[E.col] - ix[E.row], iy[E.col] - iy[E.row]
-        stencil = np.where(dx != 0, -a, np.where(dy != 0, -b, 2 * (a + b)))
-        count = m * n + 2 * (m - 1) * n + 2 * m * (n - 1)
-        if ((np.abs(dx) + np.abs(dy) <= 1).all() and E.nnz == count
-                # no stencil position stored twice
-                and np.count_nonzero(np.bincount(5 * E.row + 2 * dx + dy
-                                                 + 2)) == count
-                and (np.abs(E.data - stencil).max()
-                     <= 1e-12 * np.abs(E.data).max())):
-            lam = lambda k: 4.0 * np.sin(0.5 * np.pi * np.arange(1, k + 1)
-                                         / (k + 1)) ** 2
-            eig = a * lam(m)[:, None] + b * lam(n)[None, :]
-            return lambda f: Q(Q(grid(f)) / eig).ravel()[cell]
 
     # T = Q·K_II·Q couples mode (i, j) only to its flips (m-1-i, j),
     # (i, n-1-j) and (m-1-i, n-1-j).  probe[c] is T times the indicator
@@ -228,22 +207,14 @@ def _interior_solver(K_II, xy):
 
     When the nodes fill a uniform m x n grid, K_II is solved with the
     orthonormal type-I DST Q of that grid (Buzbee, Golub & Nielson,
-    1970; Lynch, Rice & Thomas, 1964) in one of two ways, each checked
-    on every call:
-    - If K_II has at most five entries per row and equals
-      a·T_m⊗I_n + b·I_m⊗T_n, T = tridiag(-1, 2, -1), to 1e-12 relative
-      (P1 on the rectangle meshes), Q diagonalizes it with known
-      eigenvalues.  The check reads K_II's own stored entries: each must
-      lie at a grid offset of the 5-point stencil and hold its value
-      there (2(a+b) on the diagonal, -a one step in x, -b one step in
-      y), and they must fill each stencil position of the grid once.
-    - Otherwise (P2 on the rectangle meshes, whose nodes alternate
-      vertex and midpoint and whose mesh is mirror-symmetric about every
-      grid line) Q·K_II·Q couples each mode only to its mirror images in
-      x, in y and in both.  Four products with K_II probe those blocks
-      of at most 4 x 4, which are inverted once.  This solve is taken
-      only if a fixed-seed one has ‖K_II x - f‖ <= 1e-12·(‖f‖ +
-      ‖K_II‖∞·‖x‖).
+    1970; Lynch, Rice & Thomas, 1964).  On the rectangle meshes
+    Q·K_II·Q couples each mode only to its mirror images in x, in y and
+    in both: it is diagonal for the 5-point Laplacian of P1, and for P2,
+    whose nodes alternate vertex and midpoint and whose mesh is
+    mirror-symmetric about every grid line, it has blocks of at most
+    4 x 4.  Four products with K_II probe those blocks, which are
+    inverted once.  This solve is taken only if a fixed-seed one has
+    ‖K_II x - f‖ <= 1e-12·(‖f‖ + ‖K_II‖∞·‖x‖), checked on every call.
     Every other K_II is factored once by splu in its default order.
     """
     grid = _uniform_grid(xy)

@@ -421,9 +421,11 @@ def interior_block(rect, level, degree=1):
 
 
 class TestInteriorSolver:
-    """K_II of P1 on these meshes is the 5-point Laplacian, and K_II of
-    P2 is block diagonal in the sine basis; both are solved by sine
-    transforms.  Everything else is factored with splu."""
+    """K_II of P1 on these meshes is the 5-point Laplacian, diagonal in
+    the sine basis, and K_II of P2 is block diagonal in it; both are
+    solved through their probed block symbol.  A K_II off a uniform
+    grid, or one that fails the check of that solve, is factored with
+    splu."""
 
     @pytest.mark.parametrize("rect", RECTANGLES)
     def test_p1_interior_stiffness_is_the_five_point_operator(self, rect):
@@ -446,8 +448,6 @@ class TestInteriorSolver:
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_p2_takes_dst(self, level):
         # at level 0 the nine P2 interior nodes fill a uniform 3 x 3 grid
-        # and K_II has at most five entries per row; the 5-point identity
-        # rejects it, the probed symbol not.
         K, xy = interior_block(RECTANGLES[0], level, degree=2)
         assert _interior_solver(K, xy)[1] == {"interior": "dst"}
         stats = {}
@@ -458,7 +458,7 @@ class TestInteriorSolver:
     @pytest.mark.parametrize("rect", RECTANGLES)
     def test_p2_symbol_couples_each_mode_only_to_its_flips(self, rect):
         K, xy = p2_block(rect, 3)
-        cell, (m, n), _ = _uniform_grid(xy)
+        cell, (m, n) = _uniform_grid(xy)
         # Q from node values in K's order to modes (i, j) in row-major
         # order; the grid's Q is symmetric
         Q = dstn(np.eye(m * n).reshape(-1, m, n), type=1, norm="ortho",
@@ -539,16 +539,19 @@ class TestInteriorSolver:
 
     @pytest.mark.parametrize("change", [
         None,
-        "coupling removed",            # only the count tells
+        "coupling removed",            # in both directions
         "diagonal neighbour",          # 1e-8 one step in x and in y
         "stored zero",                 # a coupling held as an explicit 0
         "coupling stored twice",       # in place of another one
         "coupling added twice",        # a second copy on top
-        "coupling moved",              # -a one step in x and one in y
+        "coupling moved",              # one step in x and one in y
     ])
-    def test_entries_off_the_five_point_stencil_take_splu(self, change):
+    def test_changed_entries_take_splu(self, change):
+        # each change but None couples sine modes that are not flips of
+        # each other, which the probed blocks miss, so the fixed-seed
+        # check rejects it
         K, xy = interior_block(RECTANGLES[3], 3)
-        cell, (m, n), _ = _uniform_grid(xy)
+        cell, (m, n) = _uniform_grid(xy)
         E = K.tocoo()
         row, col, val = E.row.copy(), E.col.copy(), E.data.copy()
         off = np.flatnonzero(row != col)
