@@ -16,8 +16,9 @@ rows, K_II Z = G_I - (B Y)_I.  When the interior nodes fill a uniform
 grid (P1 and P2 on the rectangle meshes), K_II is solved by type-I sine
 transforms: in their basis it is block diagonal with blocks of at most
 4 x 4, which are probed and then confirmed by a fixed-seed solve.
-Every other K_II is factored once with splu.  A solve sets up once the K_II solve, the stop threshold of
-CG and the sweeps, and their 80-bit residual map.
+Every other K_II is factored once with splu.  A solve sets up once the
+K_II solve, the stop threshold of CG and the sweeps, and their 80-bit
+residual map.
 """
 
 import logging
