@@ -439,17 +439,20 @@ class TestBitwiseKernels:
     rounding changes the digest of the array it touches, and only that
     one.  The stiffness and load digests are those of the reference-tensor
     stiffness and the matmul load, which TestKernelOracles compares with
-    the einsum forms they replaced."""
+    the einsum forms they replaced.  The norms digests were recorded
+    again when the error norms began to contract quadrature-major, one
+    (nq, nt) plane per quantity, which TestKernelOracles compares with
+    the per-cell einsum forms."""
 
     DIGESTS = {
         1: {"stiffness": "3fce34c6abe49d76", "mass": "4b90a9c17fa51736",
             "boundary_mass": "546651f8624e6d18",
             "load_f": "795de0f11163de99", "load_y_d": "ef9b0616a85cdbaf",
-            "norms": "94d38616565a5928"},
+            "norms": "987715c4413212e1"},
         2: {"stiffness": "2da3e46cf6a92819", "mass": "184222e658e8307c",
             "boundary_mass": "4ddeb36eef3e7392",
             "load_f": "096c63a3a22972bd", "load_y_d": "a3760d15531d268c",
-            "norms": "ba05eb9a6c2bb07e"},
+            "norms": "fb7775dfde982271"},
     }
 
     # the trace layer on the same meshes: the H^{1/2} seminorm and the

@@ -291,19 +291,23 @@ class TestBitwiseSolve:
     digests of the three P1 problems were recorded again when the P1
     K_II moved from its analytic eigenvalues to the probed block
     symbol, after every CG count was checked equal to the previous one
-    and Y and Z within 1e-12·max|Y| of the previous solution."""
+    and Y and Z within 1e-12·max|Y| of the previous solution.  All eight
+    were recorded again when the probed blocks began to be inverted
+    plane by plane through their Schur complement, after every CG count
+    and K_II solver was checked equal to the previous ones and Y and Z
+    within 1e-12·max|Y| of the previous solution."""
 
     SOLUTION_DIGESTS = {
-        "example1": "825719727ce4b2be",
-        "example1-gamma0.01": "7766ef396f5e5db7",
-        "example1-p2": "e9bbe06b16ee0767",
-        "example2": "fced98bdceb8edfe",
+        "example1": "97b3a2ea680fd49c",
+        "example1-gamma0.01": "7c4225a42937b222",
+        "example1-p2": "6e1fd8656b6e8a58",
+        "example2": "f4e3570f30574904",
     }
     RECORD_DIGESTS = {
-        "example1": "ef9a4e6c0cbb3c6e",
-        "example1-gamma0.01": "896efb31c93ff8d7",
-        "example1-p2": "a02df491151fbe79",
-        "example2": "500a87b9658055c5",
+        "example1": "c35d6635f76431f2",
+        "example1-gamma0.01": "42de49bc2a717ece",
+        "example1-p2": "e9af13a4e86a7194",
+        "example2": "ef5d6e094170ca91",
     }
 
     SPECS = {
