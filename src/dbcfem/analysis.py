@@ -31,8 +31,8 @@ import numpy as np
 from scipy.sparse.linalg import spsolve
 
 from .assembly import (DofMap, _boundary_geometry, _cell_quadrature,
-                       _edge_points, _edge_quadrature, _physical_gradients,
-                       _sample, _trace_values)
+                       _edge_points, _edge_quadrature, _sample,
+                       _trace_values)
 from .elements import ReferenceBasis, segment_quadrature
 
 
@@ -65,20 +65,32 @@ def error_L2(field, exact):
     dofmap = field.dofmap
     rule, det, pts = _cell_quadrature(dofmap)
     vals = ReferenceBasis(dofmap.degree).values(rule.points)
-    uh = np.einsum("tn,nq->tq", field.coeffs[dofmap.cell_dofs], vals)
-    diff = uh - _sample(exact, pts)
-    return math.sqrt(np.einsum("q,t,tq->", rule.weights, det, diff ** 2))
+    diff = vals.T @ field.coeffs[dofmap.cell_dofs.T]        # (nq, nt)
+    diff -= _sample(exact, pts)
+    return math.sqrt(rule.weights @ np.square(diff, out=diff) @ det)
 
 
 def error_H1_semi(field, exact_grad):
-    """sqrt of int |grad u_h - grad u|^2; exact_grad returns (g1, g2)."""
+    """sqrt of int |grad u_h - grad u|^2; exact_grad returns (g1, g2).
+
+    The reference gradient of u_h at every point comes first, one
+    (2·nq, nd) @ (nd, nt) product, and J^-T = adj(J)^T / det maps it,
+    so no per-cell basis gradients are formed.
+    """
     dofmap = field.dofmap
     rule, det, pts = _cell_quadrature(dofmap)
     grads = ReferenceBasis(dofmap.degree).gradients(rule.points)
-    phys = _physical_gradients(dofmap.cell_geometry[1], det, grads)
-    gh = np.einsum("tn,tnqa->tqa", field.coeffs[dofmap.cell_dofs], phys)
-    diff = gh - np.stack(_sample(exact_grad, pts), axis=2)
-    return math.sqrt(np.einsum("q,t,tqa->", rule.weights, det, diff ** 2))
+    nd, nq = grads.shape[:2]
+    ref = (grads.transpose(2, 1, 0).reshape(2 * nq, nd)
+           @ field.coeffs[dofmap.cell_dofs.T]).reshape(2, nq, -1)
+    (a, b), (c, d) = dofmap.cell_geometry[1].transpose(1, 2, 0)
+    sq = np.zeros_like(ref[0])
+    for gh, g in zip(((d * ref[0] - c * ref[1]) / det,
+                      (a * ref[1] - b * ref[0]) / det),
+                     _sample(exact_grad, pts)):
+        gh -= g
+        sq += np.square(gh, out=gh)
+    return math.sqrt(rule.weights @ sq @ det)
 
 
 def error_L2_boundary(field, exact):

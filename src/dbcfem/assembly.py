@@ -98,31 +98,17 @@ def _cell_geometry(mesh):
 
 def _cell_quadrature(dofmap):
     """Triangle rule of exactness 2k+2, per-cell det, and the physical
-    quadrature points (nt, nq, 2), stored one coordinate after the
-    other, so that _sample passes each coordinate on without a copy.
+    quadrature points (nq, nt, 2), stored as one (nq, nt) plane per
+    coordinate, so that _sample passes each plane on without a copy.
     """
     rule = triangle_quadrature(2 * dofmap.degree + 2)
     origin, jac, det = dofmap.cell_geometry
-    pts = np.empty((2, len(det), len(rule.points))).transpose(1, 2, 0)
-    np.einsum("tab,qb->tqa", jac, rule.points, out=pts, optimize=True)
-    pts += origin[:, None, :]
-    return rule, det, pts
-
-
-def _physical_gradients(jac, det, grads):
-    """Basis gradients J^-T g in every cell, (nt, nd, nq, 2), from the
-    cell geometry and the reference gradients (nd, nq, 2).  Only the
-    H1 error needs J^-T = adj(J)^T / det, so it is formed here.
-
-    The two-term sum is written out: it rounds exactly like
-    einsum("tab,nqb->tnqa") and is several times faster.
-    """
-    # adj(J)^T: J with both axes reversed and the off-diagonal negated
-    inv_t = jac[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    inv_t /= det[:, None, None]
-    phys = inv_t[:, None, None, :, 0] * grads[None, :, :, None, 0]
-    phys += inv_t[:, None, None, :, 1] * grads[None, :, :, None, 1]
-    return phys
+    pts = np.empty((2, len(rule.points), len(det)))
+    for a in range(2):           # J[a, 0]·ξ + J[a, 1]·η + origin[a]
+        np.multiply(rule.points[:, :1], jac[:, a, 0], out=pts[a])
+        pts[a] += rule.points[:, 1:] * jac[:, a, 1]
+        pts[a] += origin[:, a]
+    return rule, det, pts.transpose(1, 2, 0)
 
 
 def _sample(fn, pts):
@@ -238,7 +224,7 @@ def assemble_load(dofmap, g):
         return np.zeros(dofmap.num_dofs)
     rule, det, pts = _cell_quadrature(dofmap)
     weighted = ReferenceBasis(dofmap.degree).values(rule.points) * rule.weights
-    contrib = _sample(g, pts) @ weighted.T
+    contrib = _sample(g, pts).T @ weighted.T
     contrib *= det[:, None]
     return np.bincount(dofmap.cell_dofs.ravel(), contrib.ravel(),
                        minlength=dofmap.num_dofs)

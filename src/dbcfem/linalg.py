@@ -15,7 +15,8 @@ product with H costs two solves with K_II.  Z follows from the interior
 rows, K_II Z = G_I - (B Y)_I.  When the interior nodes fill a uniform
 grid (P1 and P2 on the rectangle meshes), K_II is solved by type-I sine
 transforms: in their basis it is block diagonal with blocks of at most
-4 x 4, which are probed and then confirmed by a fixed-seed solve.
+4 x 4, which are probed in one batch, inverted plane by plane through
+their 2 x 2-block Schur complement and confirmed by a fixed-seed solve.
 Every other K_II is factored once with splu.  A solve sets up once the
 K_II solve, the stop threshold of CG and the sweeps, and their 80-bit
 residual map.
@@ -25,6 +26,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 _MAX_CG_ITERATIONS = 200
@@ -47,8 +49,9 @@ class SolverConfig:
 def _extended_residual(system):
     """The map x = [Y; Z] -> [F - A·Y; G - B·Y - C·Z], accumulated block
     by block in 80-bit precision, so the coupled matrix is never formed.
-    A·Y = (K·Y)[I], and C·Z = K·Z with Z zero-extended to N dofs.  K, B,
-    F and G are cast once, when the map is built.
+    A·Y = (K·Y)[I], and C·Z = K·Z with Z zero-extended to N dofs.  The
+    entries of K and B, and F and G, are cast once, when the map is
+    built; the 80-bit K and B share the index arrays of the originals.
 
     In plain double arithmetic the computed residual of a good solution
     is dominated by rounding in the matrix-vector products themselves,
@@ -59,7 +62,8 @@ def _extended_residual(system):
     """
     ld = np.longdouble
     I, n = system.interior, system.num_dofs
-    K, B = system.K.astype(ld), system.B.astype(ld)
+    K, B = (sp.csr_matrix((M.data.astype(ld), M.indices, M.indptr),
+                          shape=M.shape) for M in (system.K, system.B))
     F, G = system.F.astype(ld), system.G.astype(ld)
 
     def residual_of(x):
@@ -133,21 +137,54 @@ def _uniform_grid(xy):
     return cell, (m, n)
 
 
+def _plane_inverse(a):
+    """The inverse of every 4 x 4 matrix a[:, :, ...] of the (4, 4, ...)
+    planes a, elementwise over the trailing axes, through the Schur
+    complement X = S - R·P⁻¹·Q of a = [[P, Q], [R, S]] in 2 x 2 blocks:
+
+        a⁻¹ = [[P⁻¹ + P⁻¹Q·X⁻¹·RP⁻¹, -P⁻¹Q·X⁻¹], [-X⁻¹·RP⁻¹, X⁻¹]].
+
+    There is no pivoting: a zero pivot gives inf or nan entries.
+    """
+    def inv(p):                  # 2 x 2 planes, by their adjugate
+        return np.array([[p[1, 1], -p[0, 1]], [-p[1, 0], p[0, 0]]]) / (
+            p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0])
+
+    def mul(p, q):               # 2 x 2 plane products
+        return np.einsum("ik...,kj...->ij...", p, q)
+
+    out = np.empty_like(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        P_inv = inv(a[:2, :2])
+        P_inv_Q, R_P_inv = mul(P_inv, a[:2, 2:]), mul(a[2:, :2], P_inv)
+        out[2:, 2:] = inv(a[2:, 2:] - mul(a[2:, :2], P_inv_Q))
+        out[:2, 2:] = -mul(P_inv_Q, out[2:, 2:])
+        out[2:, :2] = -mul(out[2:, 2:], R_P_inv)
+        out[:2, :2] = P_inv - mul(out[:2, 2:], R_P_inv)
+    return out
+
+
 def _sine_solver(K_II, cell, shape):
     """solve(f) = K_II^-1 f through the orthonormal 2D type-I DST Q of
     the grid that _uniform_grid found (cell and shape are its result),
     or None when K_II fails the check of _interior_solver.
+
+    One batched product with K_II, between two batched DSTs, probes the
+    four quadrants of the modes.  The 4 x 4 blocks are stored as
+    (4, 4, m2, n2) planes and inverted by _plane_inverse, without
+    pivoting: each is a principal block of the SPD Q·K_II·Q, or one
+    whose duplicate rows are unit rows.
     """
     from scipy.fft import dstn  # only the grid paths need scipy.fft
     m, n = shape
 
-    def grid(f):                 # node values as an m x n array
-        u = np.empty(m * n)
-        u[cell] = f
-        return u.reshape(m, n)
+    def grid(f):                 # node values as (..., m, n) arrays
+        u = np.empty(f.shape[:-1] + (m * n,))
+        u[..., cell] = f
+        return u.reshape(f.shape[:-1] + (m, n))
 
-    def Q(u):                    # Q = Qᵀ = Q⁻¹
-        return dstn(u, type=1, norm="ortho")
+    def Q(u):                    # Q = Qᵀ = Q⁻¹, on the last two axes
+        return dstn(u, type=1, norm="ortho", axes=(-2, -1))
 
     # T = Q·K_II·Q couples mode (i, j) only to its flips (m-1-i, j),
     # (i, n-1-j) and (m-1-i, n-1-j).  probe[c] is T times the indicator
@@ -155,47 +192,44 @@ def _sine_solver(K_II, cell, shape):
     # meaning i > m-1-i; it holds each mode's coupling to its one flip
     # in that quadrant.
     def flip(u, s):              # u mirrored in x if s & 2, in y if s & 1
-        return u[::-1 if s & 2 else 1, ::-1 if s & 1 else 1]
+        return u[..., ::-1 if s & 2 else 1, ::-1 if s & 1 else 1]
 
     high = [np.arange(k) > (k - 1) / 2 for k in (m, n)]
-    probe = []
-    for c in range(4):
-        e = np.outer(high[0] == c >> 1, high[1] == c & 1).astype(float)
-        probe.append(Q(grid(K_II @ Q(e).ravel()[cell])))
-    # the 4 x 4 block of each low mode p and its flips: row r, column c
-    # is T's coupling of flip(p, r) to flip(p, c)
+    e = np.array([np.outer(high[0] == c >> 1, high[1] == c & 1)
+                  for c in range(4)], dtype=float)
+    probe = Q(grid((K_II @ Q(e).reshape(4, -1)[:, cell].T).T))
+    # the 4 x 4 block of each low mode p and its flips, as (4, 4, m2,
+    # n2) planes: row r, column c is T's coupling of flip(p, r) to
+    # flip(p, c)
     m2, n2 = (m + 1) // 2, (n + 1) // 2
-    block = np.empty((m2, n2, 4, 4))
+    block = np.empty((4, 4, m2, n2))
     for r in range(4):
-        for c in range(4):
-            block[:, :, r, c] = flip(probe[c], r)[:m2, :n2]
+        block[r] = flip(probe, r)[:, :m2, :n2]
     # a middle mode of an odd axis is its own flip: the columns of that
     # flip are 0 and its rows repeat the mode's own, so unit rows stand
     # in for them
-    unit = np.eye(4)
+    unit = np.eye(4)[:, :, None]
     if m % 2:
-        block[-1, :, 2:] = unit[2:]
+        block[2:, :, -1] = unit[2:]
     if n % 2:
-        block[:, -1, 1::2] = unit[1::2]
-    try:
-        W = np.linalg.inv(block)
-    except np.linalg.LinAlgError:
-        return None
+        block[1::2, :, :, -1] = unit[1::2]
+    W = _plane_inverse(block)
     # (T⁻¹v)(q) = Σ_k D[k](q)·v(flip(q, k)); a mode q = flip(p, s) reads
     # row s of p's inverse.  Lower s is written later, so a middle mode
     # keeps its own row, not the unit row of its duplicate.
     D = np.empty((4, m, n))
     for s in (3, 2, 1, 0):
-        for k in range(4):
-            flip(D[k], s)[:m2, :n2] = W[:, :, s, k ^ s]
+        flip(D, s)[:, :m2, :n2] = W[s, np.arange(4) ^ s]
 
     def probed_solve(f):
         v = Q(grid(f))
         return Q(sum(d * flip(v, k) for k, d in enumerate(D))).ravel()[cell]
 
-    # the backward error of one fixed-seed solve
+    # the backward error of one fixed-seed solve; the inf or nan of a
+    # zero pivot fails it
     f = np.random.default_rng(0).standard_normal(K_II.shape[0])
-    x = probed_solve(f)
+    with np.errstate(invalid="ignore"):
+        x = probed_solve(f)
     scale = _norm(f) + float(abs(K_II).sum(axis=1).max()) * _norm(x)
     return probed_solve if _norm(K_II @ x - f) <= 1e-12 * scale else None
 
@@ -213,8 +247,8 @@ def _interior_solver(K_II, xy):
     in both: it is diagonal for the 5-point Laplacian of P1, and for P2,
     whose nodes alternate vertex and midpoint and whose mesh is
     mirror-symmetric about every grid line, it has blocks of at most
-    4 x 4.  Four products with K_II probe those blocks, which are
-    inverted once.  This solve is taken only if a fixed-seed one has
+    4 x 4.  One batched product with K_II probes those blocks, which
+    are inverted once.  This solve is taken only if a fixed-seed one has
     ‖K_II x - f‖ <= 1e-12·(‖f‖ + ‖K_II‖∞·‖x‖), checked on every call.
     Every other K_II is factored once by splu in its default order.
     """
@@ -235,8 +269,9 @@ def _reduced_solver(system, atol, stats):
     I, Bnd, B, K = system.interior, system.boundary, system.B, system.K
     n, ni, nb = system.num_dofs, len(I), len(Bnd)
     # K_BI is not K_IB.T: the P2 stiffness is symmetric only to rounding
-    K_IB, K_BI = K[I][:, Bnd], K[Bnd][:, I]
-    solve_II, record = _interior_solver(K[I][:, I], system.coords[I])
+    K_I = K[I]
+    K_IB, K_BI = K_I[:, Bnd], K[Bnd][:, I]
+    solve_II, record = _interior_solver(K_I[:, I], system.coords[I])
     stats.update(record)
     precond = _factor(-B[Bnd][:, Bnd], "boundary mass")
 

@@ -413,6 +413,52 @@ def load_einsum(dofmap, g):
     return out
 
 
+def physical_gradients(jac, det, grads):
+    """Basis gradients J^-T g in every cell, (nt, nd, nq, 2), from the
+    cell geometry and the reference gradients (nd, nq, 2), with
+    J^-T = adj(J)^T / det.  The two-term sum rounds exactly like
+    einsum("tab,nqb->tnqa")."""
+    # adj(J)^T: J with both axes reversed and the off-diagonal negated
+    inv_t = jac[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    inv_t /= det[:, None, None]
+    phys = inv_t[:, None, None, :, 0] * grads[None, :, :, None, 0]
+    phys += inv_t[:, None, None, :, 1] * grads[None, :, :, None, 1]
+    return phys
+
+
+def _error_quadrature(dofmap):
+    """triangle_quadrature(2k+2), the stacked cell geometry and the
+    physical points (nt, nq, 2)."""
+    rule = triangle_quadrature(2 * dofmap.degree + 2)
+    origin, jac, det, _ = cell_geometry_stacked(dofmap.mesh)
+    pts = origin[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)
+    return rule, jac, det, pts
+
+
+def error_L2_einsum(field, exact):
+    """The L2 error contracted cell by cell, (nt, nq), by einsums."""
+    dofmap = field.dofmap
+    rule, _, det, pts = _error_quadrature(dofmap)
+    vals = ReferenceBasis(dofmap.degree).values(rule.points)
+    uh = np.einsum("tn,nq->tq", field.coeffs[dofmap.cell_dofs], vals)
+    diff = uh - np.broadcast_to(exact(pts[..., 0], pts[..., 1]), uh.shape)
+    return math.sqrt(np.einsum("q,t,tq->", rule.weights, det, diff ** 2))
+
+
+def error_H1_semi_einsum(field, exact_grad):
+    """The H1-seminorm error through the (nt, nd, nq, 2) physical basis
+    gradients, contracted by einsums."""
+    dofmap = field.dofmap
+    rule, jac, det, pts = _error_quadrature(dofmap)
+    grads = ReferenceBasis(dofmap.degree).gradients(rule.points)
+    phys = physical_gradients(jac, det, grads)
+    gh = np.einsum("tn,tnqa->tqa", field.coeffs[dofmap.cell_dofs], phys)
+    g = np.stack([np.broadcast_to(v, gh.shape[:2])
+                  for v in exact_grad(pts[..., 0], pts[..., 1])], axis=2)
+    return math.sqrt(np.einsum("q,t,tqa->", rule.weights, det,
+                               (gh - g) ** 2))
+
+
 def export_vtk_per_element(mesh, fields=(), names=None):
     """Legacy VTK bytes written one numpy scalar at a time."""
     nv = mesh.num_vertices

@@ -8,12 +8,11 @@ import pytest
 
 import dbcfem.assembly as assembly
 import dbcfem.expr as expr
-from dbcfem.analysis import (boundary_L2_projection, error_H1_semi, error_L2,
-                             error_L2_boundary, interpolate,
+from dbcfem.analysis import (FemField, boundary_L2_projection, error_H1_semi,
+                             error_L2, error_L2_boundary, interpolate,
                              seminorm_H_half_boundary)
-from dbcfem.assembly import (DofMap, _cell_geometry, _physical_gradients,
-                             assemble_boundary_mass, assemble_load,
-                             assemble_mass, assemble_stiffness,
+from dbcfem.assembly import (DofMap, _cell_geometry, assemble_boundary_mass,
+                             assemble_load, assemble_mass, assemble_stiffness,
                              build_block_system)
 from dbcfem.elements import ReferenceBasis, triangle_quadrature
 from dbcfem.mesh import (TriMesh, make_initial_mesh, mesh_hierarchy,
@@ -21,8 +20,10 @@ from dbcfem.mesh import (TriMesh, make_initial_mesh, mesh_hierarchy,
 from dbcfem.problems import load_config
 
 from oracles import (as_float, cell_geometry_stacked, dense_global_matrix,
-                     load_einsum, local_edge_mass_exact, local_mass_exact,
-                     local_stiffness_exact, stiffness_einsum)
+                     error_H1_semi_einsum, error_L2_einsum, load_einsum,
+                     local_edge_mass_exact, local_mass_exact,
+                     local_stiffness_exact, physical_gradients,
+                     stiffness_einsum)
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 QUARTER = (0.0, 0.25, 0.0, 0.25)
@@ -392,7 +393,7 @@ class TestPhysicalGradients:
             _, jac, det = _cell_geometry(mesh)
             inv_t = cell_geometry_stacked(mesh)[3]
             want = np.einsum("tab,nqb->tnqa", inv_t, grads)
-            assert np.array_equal(_physical_gradients(jac, det, grads), want)
+            assert np.array_equal(physical_gradients(jac, det, grads), want)
 
 
 class TestKernelOracles:
@@ -415,6 +416,27 @@ class TestKernelOracles:
                 got = assemble_load(dofmap, g)
                 assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
+    @pytest.mark.parametrize("rect", [SKEW, UNIT])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_error_norms_match_the_einsums(self, degree, rect):
+        # the quadrature-major contractions against the per-cell forms
+        # with the (nt, nd, nq, 2) physical gradients.  Both round u_h - u
+        # at each point to about eps·|u|, and the P2 L2 error falls to
+        # 1e-6·‖u‖ by level 5, hence the term in ‖u‖ (the error of 0).
+        u = lambda a, b: np.sin(3 * a) * np.cos(2 * b) + a * b
+        grad = lambda a, b: (3 * np.cos(3 * a) * np.cos(2 * b) + b,
+                             a - 2 * np.sin(3 * a) * np.sin(2 * b))
+        for mesh in mesh_hierarchy(rect, 5):
+            dofmap = DofMap(mesh, degree)
+            field, zero = interpolate(dofmap, u), FemField(
+                dofmap, np.zeros(dofmap.num_dofs))
+            for new, old, exact in ((error_L2, error_L2_einsum, u),
+                                    (error_H1_semi, error_H1_semi_einsum,
+                                     grad)):
+                got, want = new(field, exact), old(field, exact)
+                bound = 1e-13 * want + 1e-15 * old(zero, exact)
+                assert abs(got - want) <= bound, (new.__name__, mesh.level)
+
     @pytest.mark.parametrize("rect", [SKEW, (-0.7, 0.3, 0.15, 2.2)])
     def test_cell_geometry_equals_the_stacked_form(self, rect):
         # unit reference gradients read J^-T back out of the physical
@@ -422,7 +444,7 @@ class TestKernelOracles:
         unit = np.eye(2)[:, None, :]
         for mesh in mesh_hierarchy(rect, 6):
             origin, jac, det = _cell_geometry(mesh)
-            inv_t = _physical_gradients(jac, det, unit)[:, :, 0, :]
+            inv_t = physical_gradients(jac, det, unit)[:, :, 0, :]
             arrays = origin, jac, det, inv_t.transpose(0, 2, 1)
             stacked = cell_geometry_stacked(mesh)
             assert len(arrays) == len(stacked)

@@ -178,24 +178,30 @@ class TestSolveBlock:
 
     def test_extended_casts_do_not_grow_with_the_sweeps(self, monkeypatch):
         # one 80-bit residual map for the sweeps and one for the gate,
-        # each casting K and B once, however many sweeps run
+        # each casting the entries of K and B once, however many sweeps
+        # run; every 80-bit CSR matrix built, by astype or from arrays,
+        # is counted, and each shares the index arrays of K or B
         spec = dataclasses.replace(load_config("example1"), degree=2)
         system = build_block_system(
             DofMap(mesh_hierarchy(spec.domain, 4)[-1], 2), spec.gamma,
             spec.field(spec.f), spec.field(spec.y_d))
         casts = []
-        original = sp.csr_matrix.astype
+        original = sp.csr_matrix.__init__
 
-        def counting(self, dtype, *args, **kwargs):
-            if np.dtype(dtype) == np.longdouble:
-                casts.append(1)
-            return original(self, dtype, *args, **kwargs)
+        def counting(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            if self.dtype == np.longdouble:
+                casts.append(self)
 
-        monkeypatch.setattr(sp.csr_matrix, "astype", counting)
+        monkeypatch.setattr(sp.csr_matrix, "__init__", counting)
         stats = {}
         solve_block(system, SolverConfig(spec.solver_tolerance), stats=stats)
         assert len(stats["iterations"]) >= 2, stats
-        assert len(casts) <= 4, stats
+        assert 0 < len(casts) <= 4, stats
+        for m in casts:
+            assert any(np.shares_memory(m.indices, M.indices)
+                       and np.shares_memory(m.indptr, M.indptr)
+                       for M in (system.K, system.B))
 
     @pytest.mark.parametrize("norms,atol,kept,sweeps", [
         ([8, 3, 2.9], 1, 2, 2),      # halved, then lowered a little: kept
@@ -534,6 +540,35 @@ class TestInteriorSolver:
         data[np.flatnonzero(K.row != K.col)[0]] *= 1 + 1e-8
         K = sp.csr_matrix((data, (K.row, K.col)), shape=K.shape)
         assert _interior_solver(K, xy)[1]["interior"] == "splu"
+
+    @pytest.mark.parametrize("m,n", [(4, 6), (5, 6), (4, 7), (5, 7)])
+    def test_plane_inverse_matches_numpy(self, m, n):
+        # random SPD 4 x 4 blocks with eigenvalues in [1, 10], and the
+        # unit rows that _sine_solver writes for the middle modes of an
+        # odd m (rows 2 and 3) and an odd n (rows 1 and 3)
+        m2, n2 = (m + 1) // 2, (n + 1) // 2
+        rng = np.random.default_rng(10 * m + n)
+        V = np.linalg.qr(rng.standard_normal((m2, n2, 4, 4)))[0]
+        block = (V * rng.uniform(1.0, 10.0, (m2, n2, 1, 4))) @ np.swapaxes(
+            V, 2, 3)
+        unit = np.eye(4)
+        if m % 2:
+            block[-1, :, 2:] = unit[2:]
+        if n % 2:
+            block[:, -1, 1::2] = unit[1::2]
+        want = np.linalg.inv(block)
+        got = linalg._plane_inverse(block.transpose(2, 3, 0, 1))
+        err = np.abs(got.transpose(2, 3, 0, 1) - want).max(axis=(2, 3))
+        assert (err <= 1e-13 * np.abs(want).max(axis=(2, 3))).all()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_inverse_takes_splu(self, monkeypatch, value):
+        # a zero pivot gives inf or nan, which fails the fixed-seed check
+        monkeypatch.setattr(linalg, "_plane_inverse",
+                            lambda a: np.full_like(a, value))
+        K, xy = interior_block(RECTANGLES[0], 3)
+        assert _interior_solver(K, xy)[1] == {"interior": "splu",
+                                              "fill": splu(K.tocsc()).nnz}
 
     def test_singular_grid_matrix_raises_solver_error(self):
         # its probed blocks are singular, and so is the splu fallback
