@@ -398,8 +398,9 @@ class TestPhysicalGradients:
 
 class TestKernelOracles:
     """The reference-tensor stiffness and the matmul load agree with the
-    per-point einsums they replaced to 1e-15 of the largest magnitude;
-    the column-wise cell geometry equals the stacked form bit for bit."""
+    per-point einsums they replaced to 1e-15 of the largest magnitude,
+    and the quadrature-major error norms with the per-cell ones; the
+    column-wise cell geometry equals the stacked form bit for bit."""
 
     LOADS = (lambda a, b: np.sin(3 * a) * np.cos(2 * b) + a * b,
              lambda a, b: 2.5)
