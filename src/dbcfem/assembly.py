@@ -17,9 +17,10 @@ the |I| interior dofs, the algebraic form is
     [ B  C ] [Z] = [G]      B = -(M + gamma * M_Gamma),  C = interior
                                 stiffness columns,  G = -(y_d, phi)
 
-The N x N stiffness matrix K is assembled once per DofMap, and the block
-system keeps that one matrix: A = K[I, :] and C = K[:, I] are read off
-it, so the two blocks agree by construction.  The homogeneous condition
+The N x N stiffness K, mass M and boundary mass M_Gamma are assembled
+once per DofMap, and the block system keeps those matrices themselves:
+A = K[I, :] and C = K[:, I] are read off K, so the two blocks agree by
+construction, and B is formed from M and M_Gamma only when asked for.  The homogeneous condition
 on z is imposed by dropping boundary columns, never by penalty.
 """
 
@@ -31,6 +32,8 @@ import scipy.sparse as sp
 
 from .elements import ReferenceBasis, segment_quadrature, triangle_quadrature
 from .mesh import midpoint_nodes
+
+_LOAD_BLOCK = 2 ** 16  # cells per block of assemble_load
 
 
 class DofMap:
@@ -98,17 +101,23 @@ def _cell_geometry(mesh):
 
 def _cell_quadrature(dofmap):
     """Triangle rule of exactness 2k+2, per-cell det, and the physical
-    quadrature points (nq, nt, 2), stored as one (nq, nt) plane per
-    coordinate, so that _sample passes each plane on without a copy.
+    quadrature points (nq, nt, 2) of every cell (see _map_points).
     """
     rule = triangle_quadrature(2 * dofmap.degree + 2)
     origin, jac, det = dofmap.cell_geometry
-    pts = np.empty((2, len(rule.points), len(det)))
+    return rule, det, _map_points(rule.points, origin, jac)
+
+
+def _map_points(ref, origin, jac):
+    """The reference points ref (nq, 2) mapped to the cells of origin
+    and jac, (nq, nt, 2), stored as one (nq, nt) plane per coordinate,
+    so that _sample passes each plane on without a copy."""
+    pts = np.empty((2, len(ref), len(jac)))
     for a in range(2):           # J[a, 0]·ξ + J[a, 1]·η + origin[a]
-        np.multiply(rule.points[:, :1], jac[:, a, 0], out=pts[a])
-        pts[a] += rule.points[:, 1:] * jac[:, a, 1]
+        np.multiply(ref[:, :1], jac[:, a, 0], out=pts[a])
+        pts[a] += ref[:, 1:] * jac[:, a, 1]
         pts[a] += origin[:, a]
-    return rule, det, pts.transpose(1, 2, 0)
+    return pts.transpose(1, 2, 0)
 
 
 def _sample(fn, pts):
@@ -216,16 +225,23 @@ def assemble_load(dofmap, g):
 
     The quadrature exactness is 2k+2 so that, for instance, a
     quadratic g against a linear basis is integrated exactly.  Each
-    cell's entries are det * (g at its points) @ (w * phi)^T.  A g
-    whose parse tree (see ProblemSpec.field) is the constant 0 gives
-    exact zeros, with no quadrature.
+    cell's entries are det * (g at its points) @ (w * phi)^T, computed
+    _LOAD_BLOCK cells at a time, so that the points and samples of one
+    block are live at once, never those of the whole mesh.  A g whose
+    parse tree (see ProblemSpec.field) is the constant 0 gives exact
+    zeros, with no quadrature.
     """
     if getattr(g, "tree", None) == ("num", 0.0):
         return np.zeros(dofmap.num_dofs)
-    rule, det, pts = _cell_quadrature(dofmap)
+    rule = triangle_quadrature(2 * dofmap.degree + 2)
+    origin, jac, det = dofmap.cell_geometry
     weighted = ReferenceBasis(dofmap.degree).values(rule.points) * rule.weights
-    contrib = _sample(g, pts).T @ weighted.T
-    contrib *= det[:, None]
+    contrib = np.empty((len(det), len(weighted)))
+    for start in range(0, len(det), _LOAD_BLOCK):
+        cells = slice(start, start + _LOAD_BLOCK)
+        pts = _map_points(rule.points, origin[cells], jac[cells])
+        np.matmul(_sample(g, pts).T, weighted.T, out=contrib[cells])
+        contrib[cells] *= det[cells, None]
     return np.bincount(dofmap.cell_dofs.ravel(), contrib.ravel(),
                        minlength=dofmap.num_dofs)
 
@@ -235,8 +251,13 @@ class BlockSystem:
     """The coupled algebraic system [[A, 0], [B, C]] [Y; Z] = [F; G].
 
     K        -- N x N stiffness, the DofMap's own: never modify it
+    M        -- N x N mass, the DofMap's own: never modify it
+    M_Gamma  -- N x N boundary mass, the DofMap's own, zero outside the
+                boundary rows and columns: never modify it
+    gamma    -- the control penalty weight
     A, C     -- K[I, :] and K[:, I], computed from K on each access
-    B        -- N x N, equal to -(M + gamma * M_Gamma)
+    B        -- -(M + gamma * M_Gamma), formed on each access; the
+                solver never forms it
     F, G     -- load vectors of length |I| and N
     interior -- the Z (and test-row) index set I into 0..N
     boundary -- the sorted complement of I, derived on each access
@@ -246,7 +267,9 @@ class BlockSystem:
     """
 
     K: sp.csr_matrix
-    B: sp.csr_matrix
+    M: sp.csr_matrix
+    M_Gamma: sp.csr_matrix
+    gamma: float
     F: np.ndarray
     G: np.ndarray
     interior: np.ndarray
@@ -254,12 +277,13 @@ class BlockSystem:
 
     A = property(lambda self: self.K[self.interior, :])
     C = property(lambda self: self.K[:, self.interior])
+    B = property(lambda self: -(self.M + self.gamma * self.M_Gamma))
     boundary = property(lambda self: np.flatnonzero(np.bincount(
         self.interior, minlength=self.num_dofs) == 0))
 
     @property
     def num_dofs(self):
-        return self.B.shape[0]
+        return self.K.shape[0]
 
     def full(self):
         """Square (N+|I|) sparse matrix in the Y-then-Z unknown order."""
@@ -276,14 +300,15 @@ def build_block_system(dofmap, gamma, f, y_d):
         gamma    -- positive control penalty weight
         f, y_d   -- callables of (x1, x2) arrays
 
-    Return: BlockSystem with the Y-then-Z unknown ordering.
+    Return: BlockSystem with the Y-then-Z unknown ordering, holding the
+    DofMap's stiffness, mass and boundary mass themselves.
     """
     gamma = float(gamma)
     if not gamma > 0:
         raise ValueError("regularization weight gamma must be positive, got %r"
                          % (gamma,))
-    B = -(dofmap.mass + gamma * dofmap.boundary_mass)
     F = assemble_load(dofmap, f)[dofmap.interior]
     G = -assemble_load(dofmap, y_d)
-    return BlockSystem(K=dofmap.stiffness, B=B, F=F, G=G,
+    return BlockSystem(K=dofmap.stiffness, M=dofmap.mass,
+                       M_Gamma=dofmap.boundary_mass, gamma=gamma, F=F, G=G,
                        interior=dofmap.interior, coords=dofmap.coords)

@@ -12,14 +12,16 @@ leaves one system for Y_B alone,
 
 solved by CG preconditioned with -B_BB = M_BB + gamma M_Gamma,BB; each
 product with H costs two solves with K_II.  Z follows from the interior
-rows, K_II Z = G_I - (B Y)_I.  When the interior nodes fill a uniform
-grid (P1 and P2 on the rectangle meshes), K_II is solved by type-I sine
-transforms: in their basis it is block diagonal with blocks of at most
-4 x 4, which are probed in one batch, inverted plane by plane through
-their 2 x 2-block Schur complement and confirmed by a fixed-seed solve.
-Every other K_II is factored once with splu.  A solve sets up once the
-K_II solve, the stop threshold of CG and the sweeps, and their 80-bit
-residual map.
+rows, K_II Z = G_I - (B Y)_I = G_I + (M Y)_I.  B itself is never
+formed: -B·v is M·v + gamma·(M_Gamma·v), where M_Gamma acts through its
+boundary block alone, since it has no interior entries.  When the
+interior nodes fill a uniform grid (P1 and P2 on the rectangle meshes),
+K_II is solved by type-I sine transforms: in their basis it is block
+diagonal with blocks of at most 4 x 4, which are probed in one batch,
+inverted plane by plane through their 2 x 2-block Schur complement and
+confirmed by a fixed-seed solve.  Every other K_II is factored once with
+splu.  A solve sets up once the K_II solve, the stop threshold of CG and
+the sweeps, and their 80-bit residual map.
 """
 
 import logging
@@ -49,9 +51,11 @@ class SolverConfig:
 def _extended_residual(system):
     """The map x = [Y; Z] -> [F - A·Y; G - B·Y - C·Z], accumulated block
     by block in 80-bit precision, so the coupled matrix is never formed.
-    A·Y = (K·Y)[I], and C·Z = K·Z with Z zero-extended to N dofs.  The
-    entries of K and B, and F and G, are cast once, when the map is
-    built; the 80-bit K and B share the index arrays of the originals.
+    A·Y = (K·Y)[I], C·Z = K·Z with Z zero-extended to N dofs, and
+    -B·Y = M·Y + (gamma·M_Gamma)·Y, so B is not formed either.  The
+    entries of K, M and gamma·M_Gamma, and F and G, are cast once, when
+    the map is built; the 80-bit matrices share the index arrays of the
+    originals.  The adjoint block is summed in place into M·Y.
 
     In plain double arithmetic the computed residual of a good solution
     is dominated by rounding in the matrix-vector products themselves,
@@ -62,14 +66,21 @@ def _extended_residual(system):
     """
     ld = np.longdouble
     I, n = system.interior, system.num_dofs
-    K, B = (sp.csr_matrix((M.data.astype(ld), M.indices, M.indptr),
-                          shape=M.shape) for M in (system.K, system.B))
+    K, M, gM_Gamma = (sp.csr_matrix((A.data.astype(ld), A.indices, A.indptr),
+                                    shape=A.shape)
+                      for A in (system.K, system.M, system.M_Gamma))
+    gM_Gamma.data *= ld(system.gamma)
     F, G = system.F.astype(ld), system.G.astype(ld)
 
     def residual_of(x):
         Y, Z = x[:n].astype(ld), np.zeros(n, dtype=ld)
         Z[I] = x[n:]
-        return np.concatenate([F - (K @ Y)[I], G - B @ Y - K @ Z])
+        r = F - (K @ Y)[I]
+        s = M @ Y                # G - B·Y - C·Z, in place
+        s += G
+        s += gM_Gamma @ Y
+        s -= K @ Z
+        return np.concatenate([r, s])
 
     return residual_of
 
@@ -266,14 +277,21 @@ def _reduced_solver(system, atol, stats):
     full system) is below atol.  Copies the record of _interior_solver
     into stats and appends each CG count to stats["iterations"].
     """
-    I, Bnd, B, K = system.interior, system.boundary, system.B, system.K
-    n, ni, nb = system.num_dofs, len(I), len(Bnd)
+    I, Bnd, K, M = system.interior, system.boundary, system.K, system.M
+    n, ni, nb, gamma = system.num_dofs, len(I), len(Bnd), system.gamma
     # K_BI is not K_IB.T: the P2 stiffness is symmetric only to rounding
     K_I = K[I]
     K_IB, K_BI = K_I[:, Bnd], K[Bnd][:, I]
     solve_II, record = _interior_solver(K_I[:, I], system.coords[I])
     stats.update(record)
-    precond = _factor(-B[Bnd][:, Bnd], "boundary mass")
+    # M_Gamma has entries only in the boundary rows and columns
+    M_Gamma_BB = system.M_Gamma[Bnd][:, Bnd]
+    precond = _factor(M[Bnd][:, Bnd] + gamma * M_Gamma_BB, "boundary mass")
+
+    def mass(Y):                 # -B·Y = M·Y + gamma·(M_Gamma·Y)
+        w = M @ Y
+        w[Bnd] += gamma * (M_Gamma_BB @ Y[Bnd])
+        return w
 
     def extend(yB, Y):           # Y + E·yB, in place
         Y[I] -= solve_II(K_IB @ yB)
@@ -284,22 +302,22 @@ def _reduced_solver(system, atol, stats):
         return w[Bnd] - K_BI @ solve_II(w[I])
 
     H = LinearOperator((nb, nb), dtype=float,
-                       matvec=lambda v: -restrict(B @ extend(v, np.zeros(n))))
-    M = LinearOperator((nb, nb), dtype=float, matvec=precond.solve)
+                       matvec=lambda v: restrict(mass(extend(v, np.zeros(n)))))
+    P = LinearOperator((nb, nb), dtype=float, matvec=precond.solve)
 
     def apply_inverse(rhs):
         F, G = rhs[:ni], rhs[ni:]
         Y = np.zeros(n)
         Y[I] = solve_II(F)
         steps = []
-        yB, info = cg(H, restrict(B @ Y - G), rtol=0.0, atol=atol, M=M,
+        yB, info = cg(H, -restrict(mass(Y) + G), rtol=0.0, atol=atol, M=P,
                       maxiter=_MAX_CG_ITERATIONS, callback=steps.append)
         stats["iterations"].append(len(steps))
         if info > 0:
             raise SolverError("conjugate gradients did not converge in %d "
                               "iterations" % len(steps))
         Y = extend(yB, Y)
-        return np.concatenate([Y, solve_II(G[I] - (B @ Y)[I])])
+        return np.concatenate([Y, solve_II(G[I] + (M @ Y)[I])])
 
     return apply_inverse
 

@@ -5,6 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import dbcfem.assembly as assembly
 import dbcfem.expr as expr
@@ -259,6 +260,57 @@ class TestBlockSystem:
         bmass = assemble_boundary_mass(dofmap)
         expect = -(mass + gamma * bmass).toarray()
         assert np.abs(system.B.toarray() - expect).max() <= 1e-16
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_keeps_the_dofmap_masses(self, degree):
+        # M and M_Gamma are the DofMap's own; B, formed on access, has
+        # M's pattern, since M_Gamma's entries all lie on mesh edges
+        gamma = 0.01
+        dofmap = DofMap(mesh_hierarchy(UNIT, 3)[-1], degree)
+        system = build_block_system(dofmap, gamma, lambda x1, x2: 0 * x1,
+                                    lambda x1, x2: 0 * x1)
+        assert system.M is dofmap.mass
+        assert system.M_Gamma is dofmap.boundary_mass
+        assert system.gamma == gamma
+        B, M = system.B, system.M
+        assert B.format == "csr" and B.has_canonical_format
+        assert np.array_equal(B.indices, M.indices)
+        assert np.array_equal(B.indptr, M.indptr)
+        expect = -(M.toarray() + gamma * system.M_Gamma.toarray())
+        assert np.array_equal(B.toarray(), expect)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_builds_no_sparse_matrix(self, monkeypatch, degree):
+        # with the operators cached, the block system only gathers them
+        dofmap = DofMap(mesh_hierarchy(UNIT, 3)[-1], degree)
+        for name in ("stiffness", "mass", "boundary_mass"):
+            getattr(dofmap, name)
+        built = []
+        original = sp.csr_matrix.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.csr_matrix, "__init__", counting)
+        build_block_system(dofmap, 0.01, lambda x1, x2: 1 + 0 * x1,
+                           lambda x1, x2: x1 * x2)
+        assert built == []
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_mass_product_equals_b_on_interior_rows(self, degree):
+        # -(M·v + gamma·(M_Gamma·v)), as the solver applies B, is bitwise
+        # the product with the formed B on interior rows, where M_Gamma
+        # has no entries; only boundary rows may round differently
+        gamma = 0.01
+        dofmap = DofMap(mesh_hierarchy(SKEW, 3)[-1], degree)
+        system = build_block_system(dofmap, gamma, lambda x1, x2: 0 * x1,
+                                    lambda x1, x2: 0 * x1)
+        v = np.random.default_rng(8).standard_normal(dofmap.num_dofs)
+        got = -(system.M @ v + gamma * (system.M_Gamma @ v))
+        I = dofmap.interior
+        assert got[I].tobytes() == (system.B @ v)[I].tobytes()
+        assert np.abs(got - system.B @ v).max() <= 1e-15 * np.abs(got).max()
 
     def test_state_blocks_are_stiffness_restrictions(self):
         dofmap = DofMap(refine_uniform(make_initial_mesh(UNIT)), 1)

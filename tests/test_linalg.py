@@ -32,10 +32,12 @@ UNIT = (0.0, 1.0, 0.0, 1.0)
 def toy_system():
     """3 unknowns (2 state dofs, 1 adjoint): full matrix
     [[2, 1, 0], [-1, 0, 2], [0, -2, 1]], rhs [1, 3, 4].  Solving by
-    hand gives Y = (1, -1), Z = (2,).  K[1, 1] is never read."""
+    hand gives Y = (1, -1), Z = (2,).  K[1, 1] is never read; B =
+    -(M + M_Gamma) = diag(-1, -2), with an empty M_Gamma."""
     return BlockSystem(
         K=sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 0.0]])),
-        B=sp.csr_matrix(np.array([[-1.0, 0.0], [0.0, -2.0]])),
+        M=sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]])),
+        M_Gamma=sp.csr_matrix((2, 2)), gamma=1.0,
         F=np.array([1.0]),
         G=np.array([3.0, 4.0]),
         interior=np.array([0]),
@@ -75,11 +77,8 @@ class TestSolveBlock:
 
     def test_zero_data_gives_zero_solution(self):
         system = example_system()
-        system = BlockSystem(K=system.K, B=system.B,
-                             F=np.zeros_like(system.F),
-                             G=np.zeros_like(system.G),
-                             interior=system.interior,
-                             coords=system.coords)
+        system = dataclasses.replace(system, F=np.zeros_like(system.F),
+                                     G=np.zeros_like(system.G))
         Y, Z = solve_block(system)
         assert np.abs(Y).max() == 0.0
         assert np.abs(Z).max() == 0.0
@@ -131,11 +130,18 @@ class TestSolveBlock:
     def test_residual_matches_the_coupled_matrix(self, degree):
         # compared away from the solution, where the residual (~1e-6) is
         # far above the rounding of either evaluation; at the solution
-        # (~1e-14) two 80-bit evaluations differ in the sixth digit
+        # (~1e-14) two 80-bit evaluations differ in the sixth digit.  The
+        # coupled matrix is formed in 80 bits from K, M and M_Gamma: the
+        # map never rounds B = -(M + gamma M_Gamma) to double, and
+        # system.full()'s rounded boundary entries of B move this
+        # residual by about 1e-11 of itself
         system = example_system(level=3, degree=degree)
         Y, Z = solve_block(system)
         rhs = system.rhs()
-        full = system.full().astype(np.longdouble)
+        ld = np.longdouble
+        B = -(system.M.astype(ld) + ld(system.gamma) * system.M_Gamma.astype(ld))
+        full = sp.bmat([[system.A.astype(ld), None], [B, system.C.astype(ld)]],
+                       format="csr")
         noise = 1e-6 * np.random.default_rng(3).standard_normal(len(Y))
         x = np.concatenate([Y + noise, Z])
         want = rhs.astype(np.longdouble) - full @ x.astype(np.longdouble)
@@ -178,9 +184,10 @@ class TestSolveBlock:
 
     def test_extended_casts_do_not_grow_with_the_sweeps(self, monkeypatch):
         # one 80-bit residual map for the sweeps and one for the gate,
-        # each casting the entries of K and B once, however many sweeps
-        # run; every 80-bit CSR matrix built, by astype or from arrays,
-        # is counted, and each shares the index arrays of K or B
+        # each casting the entries of K, M and M_Gamma once, however many
+        # sweeps run; every 80-bit CSR matrix built, by astype or from
+        # arrays, is counted, and each shares the index arrays of K, M
+        # or M_Gamma
         spec = dataclasses.replace(load_config("example1"), degree=2)
         system = build_block_system(
             DofMap(mesh_hierarchy(spec.domain, 4)[-1], 2), spec.gamma,
@@ -197,11 +204,11 @@ class TestSolveBlock:
         stats = {}
         solve_block(system, SolverConfig(spec.solver_tolerance), stats=stats)
         assert len(stats["iterations"]) >= 2, stats
-        assert 0 < len(casts) <= 4, stats
+        assert 0 < len(casts) <= 6, stats
         for m in casts:
             assert any(np.shares_memory(m.indices, M.indices)
                        and np.shares_memory(m.indptr, M.indptr)
-                       for M in (system.K, system.B))
+                       for M in (system.K, system.M, system.M_Gamma))
 
     @pytest.mark.parametrize("norms,atol,kept,sweeps", [
         ([8, 3, 2.9], 1, 2, 2),      # halved, then lowered a little: kept
@@ -250,25 +257,26 @@ class TestSolveBlock:
 
     def test_inconsistent_dimensions_rejected(self):
         system = toy_system()
-        bad = BlockSystem(K=system.K, B=system.B,
-                          F=np.array([1.0, 2.0]),  # wrong length
-                          G=system.G, interior=system.interior,
-                          coords=system.coords)
+        bad = dataclasses.replace(system,
+                                  F=np.array([1.0, 2.0]))  # wrong length
         with pytest.raises(ValueError):
             solve_block(bad)
 
     def test_permuted_unknowns_give_the_same_solution(self):
         system = example_system(level=2)
-        n = system.B.shape[0]
+        n = system.num_dofs
         ni = len(system.interior)
         rng = np.random.default_rng(5)
         perm_n = rng.permutation(n)
         perm_i = rng.permutation(ni)
         inv_n = np.argsort(perm_n)
 
+        def permute(A):
+            return sp.csr_matrix(A.toarray()[perm_n][:, perm_n])
+
         permuted = BlockSystem(
-            K=sp.csr_matrix(system.K.toarray()[perm_n][:, perm_n]),
-            B=sp.csr_matrix(system.B.toarray()[perm_n][:, perm_n]),
+            K=permute(system.K), M=permute(system.M),
+            M_Gamma=permute(system.M_Gamma), gamma=system.gamma,
             F=system.F[perm_i],
             G=system.G[perm_n],
             interior=inv_n[system.interior[perm_i]],
@@ -531,9 +539,7 @@ class TestInteriorSolver:
         e = np.flatnonzero(K_II.row != K_II.col)[0]
         K = system.K.copy()           # system.K is the DofMap's own
         K[I[K_II.row[e]], I[K_II.col[e]]] += 1e-8
-        system = BlockSystem(K=K, B=system.B,
-                             F=system.F, G=system.G, interior=I,
-                             coords=system.coords)
+        system = dataclasses.replace(system, K=K)
         stats = {}
         solve_block(system, stats=stats)
         assert stats["interior"] == "splu"
