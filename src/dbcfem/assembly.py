@@ -20,8 +20,9 @@ the |I| interior dofs, the algebraic form is
 The N x N stiffness K, mass M and boundary mass M_Gamma are assembled
 once per DofMap, and the block system keeps those matrices themselves:
 A = K[I, :] and C = K[:, I] are read off K, so the two blocks agree by
-construction, and B is formed from M and M_Gamma only when asked for.  The homogeneous condition
-on z is imposed by dropping boundary columns, never by penalty.
+construction, and B is formed from M and M_Gamma only when asked for.
+The homogeneous condition on z is imposed by dropping boundary columns,
+never by penalty.
 """
 
 from dataclasses import dataclass
