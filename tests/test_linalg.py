@@ -139,7 +139,8 @@ class TestSolveBlock:
         Y, Z = solve_block(system)
         rhs = system.rhs()
         ld = np.longdouble
-        B = -(system.M.astype(ld) + ld(system.gamma) * system.M_Gamma.astype(ld))
+        M, M_Gamma = system.M.astype(ld), system.M_Gamma.astype(ld)
+        B = -(M + ld(system.gamma) * M_Gamma)
         full = sp.bmat([[system.A.astype(ld), None], [B, system.C.astype(ld)]],
                        format="csr")
         noise = 1e-6 * np.random.default_rng(3).standard_normal(len(Y))
