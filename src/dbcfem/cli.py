@@ -76,12 +76,10 @@ def cmd_solve(args):
         fh.write(vtk)
 
     dofs, arcs, coords = boundary_walk_dofs(dofmap)
-    lines = ["arc_length,x1,x2,u"]
-    for s, (x1, x2), value in zip(arcs, coords, sol.y.coeffs[dofs]):
-        lines.append("%.6g,%.6g,%.6g,%.6g" % (s, x1, x2, value))
-    with open(os.path.join(args.out, "control.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    np.savetxt(os.path.join(args.out, "control.csv"),
+               np.column_stack([arcs, coords, sol.y.coeffs[dofs]]),
+               fmt="%.6g", delimiter=",", header="arc_length,x1,x2,u",
+               comments="")
 
     if args.dump_matrix:  # operators are cached: only the loads rebuild
         system = build_block_system(dofmap, spec.gamma, spec.field(spec.f),
@@ -120,11 +118,8 @@ def cmd_convergence(args):
         fh.write(csv_text)
 
     stem, _ = os.path.splitext(args.out)
-    _write_record(stem + ".run.json", "convergence", spec, solutions, report={
-        "h": list(report.h),
-        "errors": {k: list(v) for k, v in report.errors.items()},
-        "eoc": {k: list(v) for k, v in report.eoc.items()},
-        "columns": [list(c) for c in report.columns]})
+    _write_record(stem + ".run.json", "convergence", spec, solutions,
+                  report=dict(dataclasses.asdict(report), eoc=report.eoc))
 
     sys.stdout.write(csv_text)
     return 0

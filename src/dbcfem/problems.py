@@ -315,6 +315,7 @@ def config_hash(spec):
         "y_d": spec.y_d,
         "constants": dict(sorted(spec.constants.items())),
         "reference_level": spec.reference_level,
+        "solver_tolerance": spec.solver_tolerance,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

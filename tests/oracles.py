@@ -7,7 +7,8 @@ seminorm comes from a brute-force panel-pair integration with much
 finer quadrature than the library uses, and the coupled system is
 solved by one sparse LU of the whole matrix.  The mesh invariant check
 lives here too, as only the tests call it, and so do the loop and
-einsum forms that the vectorized kernels replaced.
+einsum forms that the vectorized kernels replaced and the row-by-row
+writers that numpy and dataclasses replaced.
 """
 
 import math
@@ -516,3 +517,44 @@ def export_vtk_per_line(mesh, fields=(), names=None):
             lines.append("LOOKUP_TABLE default")
             lines.extend("%.17g" % v for v in f.coeffs[:nv].tolist())
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# verifiers and writers, one trial or one row at a time
+
+
+def bubble_estimate_loop(dofmap, trials=100, seed=0):
+    """verify_boundary_bubble_estimate with one draw per trial, a
+    running max and a redraw of an all-zero draw."""
+    bnd = dofmap.boundary
+    k_bb = dofmap.stiffness[bnd, :][:, bnd]
+    m_bb = dofmap.boundary_mass[bnd, :][:, bnd]
+
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    h = dofmap.mesh.h_max
+    for _ in range(trials):
+        theta = rng.uniform(-1.0, 1.0, len(bnd))
+        while not theta.any():
+            theta = rng.uniform(-1.0, 1.0, len(bnd))
+        num = theta @ (k_bb @ theta)
+        den = theta @ (m_bb @ theta)
+        best = max(best, math.sqrt(num * h / den))
+    return best
+
+
+def control_csv_per_row(arcs, coords, values):
+    """control.csv text formatted one boundary dof at a time."""
+    lines = ["arc_length,x1,x2,u"]
+    for s, (x1, x2), value in zip(arcs, coords, values):
+        lines.append("%.6g,%.6g,%.6g,%.6g" % (s, x1, x2, value))
+    return "\n".join(lines) + "\n"
+
+
+def convergence_report_by_hand(report):
+    """The run record's report of a ConvergenceReport, field by field."""
+    return {
+        "h": list(report.h),
+        "errors": {k: list(v) for k, v in report.errors.items()},
+        "eoc": {k: list(v) for k, v in report.eoc.items()},
+        "columns": [list(c) for c in report.columns]}

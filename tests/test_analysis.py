@@ -31,6 +31,7 @@ from dbcfem import (
 from oracles import (
     _gauss01,
     as_float,
+    bubble_estimate_loop,
     dense_global_matrix,
     seminorm_dense_oracle,
     seminorm_pairwise,
@@ -288,6 +289,19 @@ class TestBubbleEstimate:
         dofmap = DofMap(mesh_hierarchy(UNIT, 1)[-1], 1)
         with pytest.raises(ValueError):
             verify_boundary_bubble_estimate(dofmap, trials=0)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    @pytest.mark.parametrize("trials, seed", [(100, 0), (100, 11), (1, 5)])
+    def test_one_draw_matches_the_trial_loop(self, degree, level, trials,
+                                             seed):
+        # the (trials, |B|) draw holds the per-trial draws row by row;
+        # only the summation order of the quadratic forms differs
+        dofmap = DofMap(mesh_hierarchy(UNIT, level)[-1], degree)
+        want = bubble_estimate_loop(dofmap, trials=trials, seed=seed)
+        got = verify_boundary_bubble_estimate(dofmap, trials=trials,
+                                              seed=seed)
+        assert abs(got - want) <= 1e-14 * want
 
     def test_level_spread_is_small(self):
         ratios = [verify_boundary_bubble_estimate(

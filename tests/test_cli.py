@@ -14,10 +14,12 @@ from scipy.io import mmread
 
 import dbcfem.cli as cli
 import dbcfem.problems as problems
+from dbcfem.analysis import boundary_walk_dofs
 from dbcfem.assembly import DofMap, build_block_system
 from dbcfem.cli import main
 from dbcfem.mesh import mesh_hierarchy
 
+from oracles import control_csv_per_row, convergence_report_by_hand
 from test_problems import NON_FINITE, WRONG_TYPES
 
 
@@ -79,6 +81,18 @@ class TestSolve:
             exact = x1 ** 2 - x1 + x2 ** 2 - x2
             assert abs(u - exact) < 0.1
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_control_csv_matches_the_row_writer(self, tmp_path, degree):
+        config = write_config(tmp_path, {"problem": "example1",
+                                         "degree": degree})
+        out = tmp_path / "run"
+        assert main(["solve", "--config", config, "--level", "2",
+                     "--out", str(out)]) == 0
+        sol = problems.solve_level(problems.load_config(config), 2)
+        dofs, arcs, coords = boundary_walk_dofs(sol.dofmap)
+        want = control_csv_per_row(arcs, coords, sol.y.coeffs[dofs])
+        assert (out / "control.csv").read_bytes() == want.encode("ascii")
+
     def test_dump_matrix_round_trips(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["solve", "--config", "example1", "--level", "2",
@@ -137,6 +151,21 @@ class TestConvergence:
         # level 0 has a single interior node, too few for the grid test
         assert [s["interior"] for s in record["solves"]] == ["splu", "dst"]
         assert set(record["report"]["errors"]) == {"h1_y", "h1_z", "l2_u"}
+
+    @pytest.mark.parametrize("payload", [
+        {"problem": "example1", "levels": [0, 1, 2]},
+        {"problem": "example2", "levels": [0, 1], "reference_level": 3}])
+    def test_record_report_matches_the_hand_built_one(self, tmp_path,
+                                                       payload):
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "table.csv"
+        assert main(["convergence", "--config", config,
+                     "--out", str(out)]) == 0
+        record = json.loads((tmp_path / "table.run.json").read_text())
+        report, _ = problems.run_convergence(problems.load_config(config))
+        want = convergence_report_by_hand(report)
+        assert (json.dumps(record["report"], indent=2, sort_keys=True)
+                == json.dumps(want, indent=2, sort_keys=True))
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = write_config(tmp_path, {"problem": "example1",

@@ -430,6 +430,31 @@ class TestRunConvergence:
         assert calls.count(3) == 0  # ... then loaded from the cache
         assert second.errors == first.errors
 
+    def test_reference_is_solved_again_for_another_gate(self, tmp_path,
+                                                         monkeypatch):
+        import dbcfem.problems as problems
+
+        monkeypatch.setenv("DBCFEM_CACHE_DIR", str(tmp_path))
+        loose = dataclasses.replace(load_config("example2"), levels=(0, 1),
+                                    reference_level=3)
+        tight = dataclasses.replace(loose, solver_tolerance=1e-12)
+        dofmap = DofMap(mesh_hierarchy(loose.domain, 3)[-1], loose.degree)
+
+        calls = []
+        original = problems.solve_level
+
+        def counting(spec, level, dofmap=None, solver_config=None):
+            calls.append(spec.solver_tolerance)
+            return original(spec, level, dofmap=dofmap,
+                            solver_config=solver_config)
+
+        monkeypatch.setattr(problems, "solve_level", counting)
+        for spec in (loose, tight, loose, tight):
+            problems.get_reference(spec, dofmap)
+        # each gate is solved once and then read from its own entry
+        assert calls == [1e-10, 1e-12]
+        assert len(list(tmp_path.iterdir())) == 2
+
     def test_cold_run_assembles_the_reference_once(self, tmp_path,
                                                    monkeypatch,
                                                    assembly_calls):
