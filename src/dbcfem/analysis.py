@@ -277,10 +277,9 @@ def boundary_walk_dofs(dofmap):
     """
     _, _, lengths = _boundary_geometry(dofmap)
     starts = np.concatenate([[0.0], np.cumsum(lengths)[:-1]])
-    if dofmap.degree == 1:
-        dofs = dofmap.edge_dofs[:, 0]
-        arcs = starts
-    else:
-        dofs = dofmap.edge_dofs[:, [0, 2]].ravel()
-        arcs = np.column_stack([starts, starts + 0.5 * lengths]).ravel()
+    # each edge's first vertex, at offset 0, and its midpoint (column 2)
+    # at half its length; degree 1 keeps only the vertex
+    dofs = dofmap.edge_dofs[:, [0, 2][:dofmap.degree]].ravel()
+    arcs = (starts[:, None]
+            + np.multiply.outer(lengths, [0.0, 0.5][:dofmap.degree])).ravel()
     return dofs, arcs, dofmap.coords[dofs]

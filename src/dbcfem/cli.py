@@ -34,7 +34,7 @@ from scipy.io import mmwrite
 
 from .analysis import (boundary_walk_dofs, verify_boundary_bubble_estimate,
                        verify_discrete_stability, verify_L2_controlled_by_H1)
-from .assembly import DofMap, build_block_system
+from .assembly import DofMap
 from .expr import EvalError, ParseError
 from .linalg import SolverError
 from .mesh import export_vtk, mesh_hierarchy
@@ -81,12 +81,10 @@ def cmd_solve(args):
                fmt="%.6g", delimiter=",", header="arc_length,x1,x2,u",
                comments="")
 
-    if args.dump_matrix:  # operators are cached: only the loads rebuild
-        system = build_block_system(dofmap, spec.gamma, spec.field(spec.f),
-                                    spec.field(spec.y_d))
-        mmwrite(os.path.join(args.out, "system.mtx"), system.full())
+    if args.dump_matrix:
+        mmwrite(os.path.join(args.out, "system.mtx"), sol.system.full())
         mmwrite(os.path.join(args.out, "rhs.mtx"),
-                sp.coo_matrix(system.rhs().reshape(-1, 1)))
+                sp.coo_matrix(sol.system.rhs().reshape(-1, 1)))
 
     norms = _matrix_norms(dofmap, sol.y.coeffs, sol.z.coeffs,
                           ("l2_y", "l2_z", "l2_u"))
@@ -125,9 +123,19 @@ def cmd_convergence(args):
     return 0
 
 
-def _spread(values):
-    lo, hi = min(values), max(values)
-    return math.inf if lo <= 0.0 else hi / lo
+def _level_spread(name, what, bound_key, solutions, k, measure):
+    """The check (name, ok, detail) that each of the positive values
+    measure(s) returns varies by at most _TOLERANCES[bound_key] (max
+    over min) across the solutions of level >= k; ok is None when fewer
+    than two such levels are solved."""
+    kept = [s for s in solutions if s.level >= k]
+    if len(kept) < 2:
+        return (name, None, "skipped: needs two levels >= %d" % k)
+    spread = max(math.inf if min(v) <= 0.0 else max(v) / min(v)
+                 for v in zip(*map(measure, kept)))
+    bound = _TOLERANCES[bound_key]
+    return (name, spread <= bound, "%s %.4g over levels %s (bound %g)"
+            % (what, spread, [s.level for s in kept], bound))
 
 
 def _verify_checks(spec):
@@ -158,18 +166,10 @@ def _verify_checks(spec):
         checks.append((name, worst <= tol, "max relative residual %.3e "
                        "(tolerance %g)" % (worst, tol)))
 
-    bubble_sols = [s for s in solutions if s.level >= 1]
-    if len(bubble_sols) >= 2:
-        ratios = [verify_boundary_bubble_estimate(s.dofmap)
-                  for s in bubble_sols]
-        spread = _spread(ratios)
-        bound = _TOLERANCES["bubble_spread"]
-        checks.append(("boundary-bubble-inverse-estimate", spread <= bound,
-                       "ratio spread %.4g over levels %s (bound %g)"
-                       % (spread, [s.level for s in bubble_sols], bound)))
-    else:
-        checks.append(("boundary-bubble-inverse-estimate", None,
-                       "skipped: needs two levels >= 1"))
+    checks.append(_level_spread(
+        "boundary-bubble-inverse-estimate", "ratio spread", "bubble_spread",
+        solutions, 1,
+        lambda s: (verify_boundary_bubble_estimate(s.dofmap),)))
 
     if (spec.exact is not None and "y" in spec.exact
             and "y_grad" in spec.exact):
@@ -185,21 +185,9 @@ def _verify_checks(spec):
         checks.append(("l2-error-controlled-by-h1", None,
                        "skipped: no closed-form state"))
 
-    stab_sols = [s for s in solutions if s.level >= 2]
-    if len(stab_sols) >= 2:
-        combined, hhalf = [], []
-        for s in stab_sols:
-            c, hh = verify_discrete_stability(s.y, spec.gamma)
-            combined.append(c)
-            hhalf.append(hh)
-        spread = max(_spread(combined), _spread(hhalf))
-        bound = _TOLERANCES["stability_spread"]
-        checks.append(("discrete-stability-bounded", spread <= bound,
-                       "max spread %.4g over levels %s (bound %g)"
-                       % (spread, [s.level for s in stab_sols], bound)))
-    else:
-        checks.append(("discrete-stability-bounded", None,
-                       "skipped: needs two levels >= 2"))
+    checks.append(_level_spread(
+        "discrete-stability-bounded", "max spread", "stability_spread",
+        solutions, 2, lambda s: verify_discrete_stability(s.y, spec.gamma)))
     return checks, solutions
 
 

@@ -44,28 +44,25 @@ class EvalError(ArithmeticError):
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])"
+    r"|(?P<bad>\S)"
 )
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].isspace():
-                break
-            # skip leading blanks to report the offending byte itself
-            bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise ParseError("unexpected character %r" % text[bad], bad)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):  # blanks match no group: skipped
+        if m.lastgroup == "bad":
+            raise ParseError("unexpected character %r" % m.group(), m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+# left-associative binary operators by precedence level, loosest first
+_BINARY = ({"+": "add", "-": "sub"}, {"*": "mul", "/": "div"})
 
 
 class _Parser:
@@ -88,18 +85,13 @@ class _Parser:
             raise ParseError("expected '%s'" % op, off)
         return self.take()
 
-    def expr(self):
-        node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
-            node = ("add" if op == "+" else "sub", node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.take()[1]
-            node = ("mul" if op == "*" else "div", node, self.unary())
+    def expr(self, level=0):
+        if level == len(_BINARY):
+            return self.unary()
+        node = self.expr(level + 1)
+        while self.peek()[0] == "op" and self.peek()[1] in _BINARY[level]:
+            op = _BINARY[level][self.take()[1]]
+            node = (op, node, self.expr(level + 1))
         return node
 
     def unary(self):

@@ -343,10 +343,11 @@ def solve_block(system, config=None, stats=None):
                   or G is zero); the finished record is logged at
                   DEBUG level to the "dbcfem" logger
 
-    Raises SolverError if a factorization fails, CG runs out of
-    iterations, or the relative residual exceeds the tolerance.  There
-    is no ValueError for inconsistent blocks: A and C are both read off
-    K, so they cannot disagree.
+    Raises SolverError if the norm of the right-hand side overflows, a
+    factorization fails, CG runs out of iterations, or the relative
+    residual exceeds the tolerance.  There is no ValueError for
+    inconsistent blocks: A and C are both read off K, so they cannot
+    disagree.
     """
     if config is None:
         config = SolverConfig()
@@ -354,7 +355,12 @@ def solve_block(system, config=None, stats=None):
     b = system.rhs()
     stats = {} if stats is None else stats
     stats.setdefault("iterations", [])
-    atol = 0.25 * config.tolerance * _norm(b)  # CG and _refine
+    with np.errstate(over="ignore", invalid="ignore"):
+        bnorm = _norm(b)
+    if not np.isfinite(bnorm):
+        raise SolverError("the norm of the right-hand side is not finite: "
+                          "the data f or y_d overflow double precision")
+    atol = 0.25 * config.tolerance * bnorm  # CG and _refine
     apply_inverse = _reduced_solver(system, atol, stats)
     x, r = _refine(apply_inverse(b), _extended_residual(system),
                    apply_inverse, atol)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import analysis, expr
 from .analysis import ConvergenceReport, FemField
-from .assembly import DofMap, build_block_system
+from .assembly import BlockSystem, DofMap, build_block_system
 from .linalg import SolverConfig, solve_block
 from .mesh import mesh_hierarchy, prolong_linear
 
@@ -323,12 +323,14 @@ def config_hash(spec):
 
 @dataclass
 class LevelSolution:
-    """One solved refinement level, on the DofMap and level of y; stats
-    is the record solve_block filled for it (see linalg.solve_block)."""
+    """One solved refinement level, on the DofMap and level of y; system
+    is the BlockSystem that was solved, and stats the record solve_block
+    filled for it (see linalg.solve_block)."""
 
     y: FemField
     z: FemField
     stats: dict
+    system: BlockSystem
 
     dofmap = property(lambda self: self.y.dofmap)
     level = property(lambda self: self.dofmap.mesh.level)
@@ -361,7 +363,7 @@ def solve_level(spec, level, dofmap=None, solver_config=None):
     zfull = np.zeros(dofmap.num_dofs)
     zfull[system.interior] = Z
     return LevelSolution(y=FemField(dofmap, Y), z=FemField(dofmap, zfull),
-                         stats=stats)
+                         stats=stats, system=system)
 
 
 def cache_dir():

@@ -7,8 +7,9 @@ seminorm comes from a brute-force panel-pair integration with much
 finer quadrature than the library uses, and the coupled system is
 solved by one sparse LU of the whole matrix.  The mesh invariant check
 lives here too, as only the tests call it, and so do the loop and
-einsum forms that the vectorized kernels replaced and the row-by-row
-writers that numpy and dataclasses replaced.
+einsum forms that the vectorized kernels replaced, the row-by-row
+writers that numpy and dataclasses replaced, and the two level-spread
+checks of verify as the separate blocks that one helper replaced.
 """
 
 import math
@@ -18,6 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from dbcfem.analysis import (verify_boundary_bubble_estimate,
+                             verify_discrete_stability)
 from dbcfem.elements import ReferenceBasis, triangle_quadrature
 from dbcfem.mesh import edge_lookup, edge_numbering
 
@@ -541,6 +544,46 @@ def bubble_estimate_loop(dofmap, trials=100, seed=0):
         den = theta @ (m_bb @ theta)
         best = max(best, math.sqrt(num * h / den))
     return best
+
+
+def _spread(values):
+    lo, hi = min(values), max(values)
+    return math.inf if lo <= 0.0 else hi / lo
+
+
+def bubble_check_block(solutions, tolerances):
+    """cli's boundary-bubble check as its own block: the levels >= 1,
+    one spread, its own SKIP line."""
+    bubble_sols = [s for s in solutions if s.level >= 1]
+    if len(bubble_sols) >= 2:
+        ratios = [verify_boundary_bubble_estimate(s.dofmap)
+                  for s in bubble_sols]
+        spread = _spread(ratios)
+        bound = tolerances["bubble_spread"]
+        return ("boundary-bubble-inverse-estimate", spread <= bound,
+                "ratio spread %.4g over levels %s (bound %g)"
+                % (spread, [s.level for s in bubble_sols], bound))
+    return ("boundary-bubble-inverse-estimate", None,
+            "skipped: needs two levels >= 1")
+
+
+def stability_check_block(spec, solutions, tolerances):
+    """cli's discrete-stability check as its own block: the levels >= 2,
+    the larger of two spreads, its own SKIP line."""
+    stab_sols = [s for s in solutions if s.level >= 2]
+    if len(stab_sols) >= 2:
+        combined, hhalf = [], []
+        for s in stab_sols:
+            c, hh = verify_discrete_stability(s.y, spec.gamma)
+            combined.append(c)
+            hhalf.append(hh)
+        spread = max(_spread(combined), _spread(hhalf))
+        bound = tolerances["stability_spread"]
+        return ("discrete-stability-bounded", spread <= bound,
+                "max spread %.4g over levels %s (bound %g)"
+                % (spread, [s.level for s in stab_sols], bound))
+    return ("discrete-stability-bounded", None,
+            "skipped: needs two levels >= 2")
 
 
 def control_csv_per_row(arcs, coords, values):

@@ -5,13 +5,16 @@ stay simple; the exit-code contract is 0 success, 2 config/usage,
 3 solver failure, 4 verification failure.
 """
 
+import dataclasses
 import json
 import logging
+import warnings
 
 import numpy as np
 import pytest
 from scipy.io import mmread
 
+import dbcfem.assembly as assembly
 import dbcfem.cli as cli
 import dbcfem.problems as problems
 from dbcfem.analysis import boundary_walk_dofs
@@ -19,7 +22,8 @@ from dbcfem.assembly import DofMap, build_block_system
 from dbcfem.cli import main
 from dbcfem.mesh import mesh_hierarchy
 
-from oracles import control_csv_per_row, convergence_report_by_hand
+from oracles import (bubble_check_block, control_csv_per_row,
+                     convergence_report_by_hand, stability_check_block)
 from test_problems import NON_FINITE, WRONG_TYPES
 
 
@@ -113,6 +117,22 @@ class TestSolve:
             spec.gamma, spec.field(spec.f), spec.field(spec.y_d))
         assert np.abs(system - want.full().toarray()).max() <= 1e-15
         assert np.abs(rhs.ravel() - want.rhs()).max() <= 1e-15
+
+    def test_dump_matrix_writes_the_solved_system(self, tmp_path,
+                                                  monkeypatch):
+        # the dump reuses the system solve_level solved: one load for F
+        # and one for G, none assembled again
+        calls = []
+        assemble_load = assembly.assemble_load
+
+        def counting(dofmap, g):
+            calls.append(dofmap.mesh.level)
+            return assemble_load(dofmap, g)
+
+        monkeypatch.setattr(assembly, "assemble_load", counting)
+        assert main(["solve", "--config", "example1", "--level", "2",
+                     "--out", str(tmp_path / "run"), "--dump-matrix"]) == 0
+        assert calls == [2, 2]
 
     def test_each_operator_assembled_once(self, tmp_path, assembly_calls):
         code = main(["solve", "--config", "example1", "--level", "2",
@@ -236,6 +256,17 @@ class TestVerify:
         assert "SKIP boundary-bubble-inverse-estimate" in out
         assert "SKIP discrete-stability-bounded" in out
 
+    @pytest.mark.parametrize("preset,changes", [
+        ("example1", {}), ("example2", {}), ("example1", {"degree": 2}),
+        ("example1", {"levels": (0,)}), ("example1", {"levels": (0, 1)}),
+        ("example1", {"levels": (1, 2)})])
+    def test_spread_checks_match_the_separate_blocks(self, preset, changes):
+        spec = dataclasses.replace(problems.load_config(preset), **changes)
+        checks, solutions = cli._verify_checks(spec)
+        assert checks[3] == bubble_check_block(solutions, cli._TOLERANCES)
+        assert checks[5] == stability_check_block(spec, solutions,
+                                                  cli._TOLERANCES)
+
     def test_every_solve_record_is_logged(self, tmp_path, capsys, caplog,
                                           monkeypatch):
         # verify writes no run record; its solves reach the log instead
@@ -324,6 +355,24 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 3
         assert "solver error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("patch", [
+        {"f": "1e300*x1"}, {"f": "1e200*x1"}, {"gamma": 1e-300}])
+    def test_overflowing_data_is_a_solver_failure(self, tmp_path, capsys,
+                                                  patch):
+        # y_d scales with 1/gamma, so gamma = 1e-300 overflows as well
+        config = write_config(tmp_path, {"problem": "example1", **patch})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--config", config, "--level", "5",
+                         "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == ("solver error: the norm of the right-hand side is "
+                       "not finite: the data f or y_d overflow double "
+                       "precision\n")
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
 
     def test_retired_solver_method_is_a_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, {

@@ -175,6 +175,8 @@ class TestParsing:
         ("(x1", 3),
         ("2^", 2),
         ("1..2", 2),
+        ("   ", 3),
+        ("1  $", 3),
     ])
     def test_syntax_error_positions(self, text, offset):
         with pytest.raises(ParseError) as err:

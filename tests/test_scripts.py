@@ -1,6 +1,7 @@
 """The shipped scripts: outputs against the golden files, bad arguments."""
 
 import importlib.util
+import math
 import os
 
 import pytest
@@ -39,3 +40,21 @@ def test_stability_report_rejects_a_bad_gamma(capsys, gamma):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: " in err and "gamma" in err and "Traceback" not in err
+
+
+def test_stability_report_prints_bounded_sequences(capsys):
+    assert load_script("stability_report").main(
+        ["--levels", "2", "3", "--gammas", "1"]) == 0
+    blocks = capsys.readouterr().out.split("\n\n")
+    assert blocks[-1] == ""
+    assert [b.splitlines()[0] for b in blocks[:-1]] == [
+        "example1  gamma=1", "example2  gamma=1"]
+    for block in blocks[:-1]:
+        lines = block.splitlines()
+        assert lines[1].split() == ["level", "state", "norm", "trace",
+                                    "seminorm"]
+        assert [line.split()[0] for line in lines[2:]] == [
+            "2", "3", "spread"]
+        values = [float(v) for line in lines[2:] for v in line.split()[1:]]
+        assert len(values) == 6 and all(map(math.isfinite, values))
+        assert all(v >= 1.0 for v in values[4:])
