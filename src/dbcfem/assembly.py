@@ -35,6 +35,7 @@ from .elements import ReferenceBasis, segment_quadrature, triangle_quadrature
 from .mesh import midpoint_nodes
 
 _LOAD_BLOCK = 2 ** 16  # cells per block of assemble_load
+_SCATTER_BLOCK = 2 ** 15  # cells above which _scatter halves its input
 
 
 class DofMap:
@@ -157,12 +158,23 @@ def _edge_quadrature(dofmap):
     return rule, lengths, _edge_points(a, b, rule.points)
 
 
-def _scatter(dofs, local, n):
+def _scatter(dofs, local, n, halvings=2):
     """n x n CSR matrix summing the local matrices local[e] on the rows
     and columns dofs[e]; sorted columns, no explicit zeros.  tocsr()
     already sums the duplicates and sorts the columns.  The row and
     column arrays are int32, the index type scipy would cast them to,
-    whenever n allows it."""
+    whenever n allows it.
+
+    More than _SCATTER_BLOCK cells are split into two halves of
+    consecutive cells, at most twice, and the partial matrices are
+    added pairwise, so that only one quarter's COO arrays and
+    duplicates are live at once; a mesh of at most _SCATTER_BLOCK
+    cells is converted in one step.
+    """
+    if halvings and len(dofs) > _SCATTER_BLOCK:
+        h = len(dofs) // 2
+        return (_scatter(dofs[:h], local[:h], n, halvings - 1)
+                + _scatter(dofs[h:], local[h:], n, halvings - 1))
     nd = dofs.shape[1]
     dofs = dofs.astype(np.int32 if n < 2 ** 31 else np.int64)
     rows = np.repeat(dofs, nd, axis=1).ravel()

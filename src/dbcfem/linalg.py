@@ -343,9 +343,11 @@ def solve_block(system, config=None, stats=None):
                   or G is zero); the finished record is logged at
                   DEBUG level to the "dbcfem" logger
 
-    Raises SolverError if the norm of the right-hand side overflows, a
-    factorization fails, CG runs out of iterations, or the relative
-    residual exceeds the tolerance.  There is no ValueError for
+    Raises SolverError if the norm of the right-hand side overflows;
+    if the right-hand side is nonzero but the stop threshold is below
+    sqrt(tiny) ≈ 1.5e-154, the least value whose square is a normal
+    double; if a factorization fails or CG runs out of iterations; or
+    if the relative residual exceeds the tolerance.  There is no ValueError for
     inconsistent blocks: A and C are both read off K, so they cannot
     disagree.
     """
@@ -361,6 +363,9 @@ def solve_block(system, config=None, stats=None):
         raise SolverError("the norm of the right-hand side is not finite: "
                           "the data f or y_d overflow double precision")
     atol = 0.25 * config.tolerance * bnorm  # CG and _refine
+    if atol < np.sqrt(np.finfo(float).tiny) and b.any():
+        raise SolverError("the right-hand side is too small to gate: the "
+                          "data f and y_d underflow double precision")
     apply_inverse = _reduced_solver(system, atol, stats)
     x, r = _refine(apply_inverse(b), _extended_residual(system),
                    apply_inverse, atol)
