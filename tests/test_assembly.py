@@ -164,6 +164,82 @@ class TestGlobalMatrices:
             assert np.abs(a - b).max() <= 1e-13
 
 
+def csr_parts(m):
+    return m.data, m.indices, m.indptr
+
+
+class TestScatterBlocks:
+    """_scatter converts more than _SCATTER_BLOCK cells in (at most)
+    quarters and adds the partial matrices; at most _SCATTER_BLOCK
+    cells in one step."""
+
+    OPERATORS = (assemble_stiffness, assemble_mass, assemble_boundary_mass)
+
+    @pytest.fixture(scope="class")
+    def level7(self):
+        return DofMap(mesh_hierarchy(UNIT, 7)[-1], 1)
+
+    @staticmethod
+    def assert_canonical(m):
+        assert m.format == "csr"
+        assert m.indices.dtype == np.int32 and m.indptr.dtype == np.int32
+        assert np.all(m.data != 0), "explicit zeros"
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        same_row = rows[1:] == rows[:-1]
+        # sorted and without duplicates: strictly increasing in each row
+        assert np.all(np.diff(m.indices)[same_row] > 0)
+
+    @pytest.mark.parametrize("rect", [UNIT, SKEW])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_quarters_match_one_block(self, monkeypatch, rect, degree):
+        for mesh in mesh_hierarchy(rect, 4):
+            dofmap = DofMap(mesh, degree)
+            for assemble in self.OPERATORS:
+                monkeypatch.setattr(assembly, "_SCATTER_BLOCK", 2 ** 62)
+                whole = assemble(dofmap)
+                monkeypatch.setattr(assembly, "_SCATTER_BLOCK", 8)
+                parts = assemble(dofmap)
+                where = (mesh.level, assemble.__name__)
+                self.assert_canonical(parts)
+                assert np.array_equal(parts.indptr, whole.indptr), where
+                assert np.array_equal(parts.indices, whole.indices), where
+                ulp = np.spacing(np.abs(whole.data).max())
+                assert np.abs(parts.data - whole.data).max() <= 4 * ulp, where
+
+    def test_level7_p1_is_bitwise_the_one_block_scatter(self, monkeypatch,
+                                                        level7):
+        for assemble in (assemble_stiffness, assemble_mass):
+            parts = assemble(level7)
+            monkeypatch.setattr(assembly, "_SCATTER_BLOCK", 2 ** 62)
+            whole = assemble(level7)
+            monkeypatch.undo()
+            for a, b in zip(csr_parts(parts), csr_parts(whole)):
+                assert np.array_equal(a, b), assemble.__name__
+
+    @staticmethod
+    def coo_sizes(monkeypatch):
+        sizes, coo = [], assembly.sp.coo_matrix
+
+        def counting(arg, *args, **kwargs):
+            sizes.append(len(arg[0]))
+            return coo(arg, *args, **kwargs)
+        monkeypatch.setattr(assembly.sp, "coo_matrix", counting)
+        return sizes
+
+    def test_level7_p1_stiffness_builds_four_quarters(self, monkeypatch,
+                                                      level7):
+        sizes = self.coo_sizes(monkeypatch)
+        assemble_stiffness(level7)
+        assert len(sizes) == 4
+        assert max(sizes) <= 9 * 2 ** 15 and sum(sizes) == 9 * 8 * 4 ** 7
+
+    def test_p2_level6_stiffness_builds_one_block(self, monkeypatch):
+        dofmap = DofMap(mesh_hierarchy(UNIT, 6)[-1], 2)
+        sizes = self.coo_sizes(monkeypatch)
+        assemble_stiffness(dofmap)
+        assert sizes == [36 * 8 * 4 ** 6]
+
+
 class TestLoadVector:
     def test_zero_integrand_gives_zero(self):
         dofmap = DofMap(make_initial_mesh(UNIT), 1)

@@ -374,6 +374,26 @@ class TestExitCodes:
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("e", [170, 160, 155])
+    def test_data_too_small_to_gate_is_a_solver_failure(self, tmp_path,
+                                                        capsys, e):
+        # the norm of the right-hand side underflows: below e = 155 it
+        # reads 0, and CG's stop threshold with it
+        config = write_config(tmp_path, {"problem": "example1",
+                                         "f": "1e-%d*x1" % e,
+                                         "y_d": "1e-%d*x2" % e})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--config", config, "--level", "5",
+                         "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == ("solver error: the right-hand side is too small to "
+                       "gate: the data f and y_d underflow double "
+                       "precision\n")
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
     def test_retired_solver_method_is_a_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, {
             "problem": "example1",

@@ -83,6 +83,24 @@ class TestSolveBlock:
         assert np.abs(Y).max() == 0.0
         assert np.abs(Z).max() == 0.0
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-170, 1e-300])
+    def test_data_too_small_to_gate_is_refused(self, scale):
+        # the squares in the norms underflow below sqrt(tiny) ≈ 1.5e-154
+        system = example_system()
+        system = dataclasses.replace(system, F=scale * system.F,
+                                     G=scale * system.G)
+        with pytest.raises(SolverError, match="too small to gate"):
+            solve_block(system)
+
+    def test_small_data_above_the_bound_solve_to_scale(self):
+        system = example_system()
+        Y, Z = solve_block(system)
+        small = dataclasses.replace(system, F=1e-130 * system.F,
+                                    G=1e-130 * system.G)
+        Ys, Zs = solve_block(small)
+        assert np.abs(1e130 * Ys - Y).max() <= 1e-10 * np.abs(Y).max()
+        assert np.abs(1e130 * Zs - Z).max() <= 1e-10 * np.abs(Z).max()
+
     def test_methods_agree(self):
         system = example_system(level=3)
         Y1, Z1 = coupled_lu_solve(system)
