@@ -347,9 +347,9 @@ def solve_block(system, config=None, stats=None):
     if the right-hand side is nonzero but the stop threshold is below
     sqrt(tiny) ≈ 1.5e-154, the least value whose square is a normal
     double; if a factorization fails or CG runs out of iterations; or
-    if the relative residual exceeds the tolerance.  There is no ValueError for
-    inconsistent blocks: A and C are both read off K, so they cannot
-    disagree.
+    if the relative residual exceeds the tolerance.  There is no
+    ValueError for inconsistent blocks: A and C are both read off K, so
+    they cannot disagree.
     """
     if config is None:
         config = SolverConfig()

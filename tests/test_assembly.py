@@ -164,10 +164,6 @@ class TestGlobalMatrices:
             assert np.abs(a - b).max() <= 1e-13
 
 
-def csr_parts(m):
-    return m.data, m.indices, m.indptr
-
-
 class TestScatterBlocks:
     """_scatter converts more than _SCATTER_BLOCK cells in (at most)
     quarters and adds the partial matrices; at most _SCATTER_BLOCK
@@ -213,8 +209,9 @@ class TestScatterBlocks:
             monkeypatch.setattr(assembly, "_SCATTER_BLOCK", 2 ** 62)
             whole = assemble(level7)
             monkeypatch.undo()
-            for a, b in zip(csr_parts(parts), csr_parts(whole)):
-                assert np.array_equal(a, b), assemble.__name__
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(parts, part),
+                                      getattr(whole, part)), part
 
     @staticmethod
     def coo_sizes(monkeypatch):

@@ -377,8 +377,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("e", [170, 160, 155])
     def test_data_too_small_to_gate_is_a_solver_failure(self, tmp_path,
                                                         capsys, e):
-        # the norm of the right-hand side underflows: below e = 155 it
-        # reads 0, and CG's stop threshold with it
+        # the squares in the norm of the right-hand side underflow: at
+        # e = 160 and 170 it reads 0, and at e = 155 it loses digits
         config = write_config(tmp_path, {"problem": "example1",
                                          "f": "1e-%d*x1" % e,
                                          "y_d": "1e-%d*x2" % e})
