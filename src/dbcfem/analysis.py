@@ -61,36 +61,48 @@ def interpolate(dofmap, fn):
 
 
 def error_L2(field, exact):
-    """sqrt of int (u_h - u)^2 over the domain."""
+    """sqrt of int (u_h - u)^2 over the domain.
+
+    Block by block of _cell_quadrature, each cell's weighted sum of the
+    squared error goes into one (nt,) array, which one product with det
+    sums, so the result does not depend on the block size.
+    """
     dofmap = field.dofmap
-    rule, det, pts = _cell_quadrature(dofmap)
-    vals = ReferenceBasis(dofmap.degree).values(rule.points)
-    diff = vals.T @ field.coeffs[dofmap.cell_dofs.T]        # (nq, nt)
-    diff -= _sample(exact, pts)
-    return math.sqrt(rule.weights @ np.square(diff, out=diff) @ det)
+    vals = ReferenceBasis(dofmap.degree).values
+    per_cell = np.empty(len(dofmap.cell_dofs))
+    for rule, cells, _, _, pts in _cell_quadrature(dofmap):
+        diff = vals(rule.points).T @ field.coeffs[dofmap.cell_dofs[cells].T]
+        diff -= _sample(exact, pts)                          # (nq, nb)
+        np.matmul(rule.weights, np.square(diff, out=diff), out=per_cell[cells])
+    return math.sqrt(per_cell @ dofmap.cell_geometry[2])
 
 
 def error_H1_semi(field, exact_grad):
     """sqrt of int |grad u_h - grad u|^2; exact_grad returns (g1, g2).
 
-    The reference gradient of u_h at every point comes first, one
-    (2·nq, nd) @ (nd, nt) product, and J^-T = adj(J)^T / det maps it,
-    so no per-cell basis gradients are formed.
+    In each block of _cell_quadrature, the reference gradient of u_h at
+    every point comes first, one (2·nq, nd) @ (nd, nb) product, and
+    J^-T = adj(J)^T / det maps it, so no per-cell basis gradients are
+    formed.  Each cell's weighted sum goes into one (nt,) array, which
+    one product with det sums, as in error_L2.
     """
     dofmap = field.dofmap
-    rule, det, pts = _cell_quadrature(dofmap)
-    grads = ReferenceBasis(dofmap.degree).gradients(rule.points)
-    nd, nq = grads.shape[:2]
-    ref = (grads.transpose(2, 1, 0).reshape(2 * nq, nd)
-           @ field.coeffs[dofmap.cell_dofs.T]).reshape(2, nq, -1)
-    (a, b), (c, d) = dofmap.cell_geometry[1].transpose(1, 2, 0)
-    sq = np.zeros_like(ref[0])
-    for gh, g in zip(((d * ref[0] - c * ref[1]) / det,
-                      (a * ref[1] - b * ref[0]) / det),
-                     _sample(exact_grad, pts)):
-        gh -= g
-        sq += np.square(gh, out=gh)
-    return math.sqrt(rule.weights @ sq @ det)
+    gradients = ReferenceBasis(dofmap.degree).gradients
+    per_cell = np.empty(len(dofmap.cell_dofs))
+    for rule, cells, det, jac, pts in _cell_quadrature(dofmap):
+        grads = gradients(rule.points)
+        nd, nq = grads.shape[:2]
+        ref = (grads.transpose(2, 1, 0).reshape(2 * nq, nd)
+               @ field.coeffs[dofmap.cell_dofs[cells].T]).reshape(2, nq, -1)
+        (a, b), (c, d) = jac.transpose(1, 2, 0)
+        sq = np.zeros_like(ref[0])
+        for gh, g in zip(((d * ref[0] - c * ref[1]) / det,
+                          (a * ref[1] - b * ref[0]) / det),
+                         _sample(exact_grad, pts)):
+            gh -= g
+            sq += np.square(gh, out=gh)
+        np.matmul(rule.weights, sq, out=per_cell[cells])
+    return math.sqrt(per_cell @ dofmap.cell_geometry[2])
 
 
 def error_L2_boundary(field, exact):

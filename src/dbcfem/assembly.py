@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from .elements import ReferenceBasis, segment_quadrature, triangle_quadrature
 from .mesh import midpoint_nodes
 
-_LOAD_BLOCK = 2 ** 16  # cells per block of assemble_load
+_CELL_BLOCK = 2 ** 12  # cells per block of _cell_quadrature
 _SCATTER_BLOCK = 2 ** 15  # cells above which _scatter halves its input
 
 
@@ -102,12 +102,19 @@ def _cell_geometry(mesh):
 
 
 def _cell_quadrature(dofmap):
-    """Triangle rule of exactness 2k+2, per-cell det, and the physical
-    quadrature points (nq, nt, 2) of every cell (see _map_points).
+    """For each block of at most _CELL_BLOCK consecutive cells: the
+    triangle rule of exactness 2k+2, the block's slice, and its det
+    (nb,), Jacobians (nb, 2, 2) and physical quadrature points
+    (nq, nb, 2) (see _map_points).  The loads and the error norms
+    iterate it, so only one block's points and samples are live at
+    once, never those of the whole mesh.
     """
     rule = triangle_quadrature(2 * dofmap.degree + 2)
     origin, jac, det = dofmap.cell_geometry
-    return rule, det, _map_points(rule.points, origin, jac)
+    for start in range(0, len(det), _CELL_BLOCK):
+        cells = slice(start, start + _CELL_BLOCK)
+        yield (rule, cells, det[cells], jac[cells],
+               _map_points(rule.points, origin[cells], jac[cells]))
 
 
 def _map_points(ref, origin, jac):
@@ -239,22 +246,19 @@ def assemble_load(dofmap, g):
     The quadrature exactness is 2k+2 so that, for instance, a
     quadratic g against a linear basis is integrated exactly.  Each
     cell's entries are det * (g at its points) @ (w * phi)^T, computed
-    _LOAD_BLOCK cells at a time, so that the points and samples of one
-    block are live at once, never those of the whole mesh.  A g whose
-    parse tree (see ProblemSpec.field) is the constant 0 gives exact
-    zeros, with no quadrature.
+    block by block of _cell_quadrature into one (nt, nd) array that a
+    single bincount sums, so the result does not depend on the block
+    size.  A g whose parse tree (see ProblemSpec.field) is the
+    constant 0 gives exact zeros, with no quadrature.
     """
     if getattr(g, "tree", None) == ("num", 0.0):
         return np.zeros(dofmap.num_dofs)
-    rule = triangle_quadrature(2 * dofmap.degree + 2)
-    origin, jac, det = dofmap.cell_geometry
-    weighted = ReferenceBasis(dofmap.degree).values(rule.points) * rule.weights
-    contrib = np.empty((len(det), len(weighted)))
-    for start in range(0, len(det), _LOAD_BLOCK):
-        cells = slice(start, start + _LOAD_BLOCK)
-        pts = _map_points(rule.points, origin[cells], jac[cells])
+    values = ReferenceBasis(dofmap.degree).values
+    contrib = np.empty(dofmap.cell_dofs.shape)
+    for rule, cells, det, _, pts in _cell_quadrature(dofmap):
+        weighted = values(rule.points) * rule.weights
         np.matmul(_sample(g, pts).T, weighted.T, out=contrib[cells])
-        contrib[cells] *= det[cells, None]
+        contrib[cells] *= det[:, None]
     return np.bincount(dofmap.cell_dofs.ravel(), contrib.ravel(),
                        minlength=dofmap.num_dofs)
 

@@ -30,7 +30,6 @@ from datetime import datetime, timezone
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmwrite
 
 from .analysis import (boundary_walk_dofs, verify_boundary_bubble_estimate,
                        verify_discrete_stability, verify_L2_controlled_by_H1)
@@ -82,6 +81,7 @@ def cmd_solve(args):
                comments="")
 
     if args.dump_matrix:
+        from scipy.io import mmwrite  # only the dump needs scipy.io
         mmwrite(os.path.join(args.out, "system.mtx"), sol.system.full())
         mmwrite(os.path.join(args.out, "rhs.mtx"),
                 sp.coo_matrix(sol.system.rhs().reshape(-1, 1)))

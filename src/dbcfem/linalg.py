@@ -241,7 +241,12 @@ def _sine_solver(K_II, cell, shape):
     f = np.random.default_rng(0).standard_normal(K_II.shape[0])
     with np.errstate(invalid="ignore"):
         x = probed_solve(f)
-    scale = _norm(f) + float(abs(K_II).sum(axis=1).max()) * _norm(x)
+    # ‖K_II‖∞ from the stored entries, with no sparse copy abs(K_II):
+    # one sum per nonempty row, and an empty row's 0 is never above it
+    rows = K_II.indptr[:-1][np.diff(K_II.indptr) > 0]
+    inf_norm = (np.add.reduceat(np.abs(K_II.data), rows).max()
+                if len(rows) else 0.0)
+    scale = _norm(f) + float(inf_norm) * _norm(x)
     return probed_solve if _norm(K_II @ x - f) <= 1e-12 * scale else None
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,62 @@ class TestScatterBlocks:
         sizes = self.coo_sizes(monkeypatch)
         assemble_stiffness(dofmap)
         assert sizes == [36 * 8 * 4 ** 6]
+
+
+class TestCellBlocks:
+    """The loads and the error norms iterate _cell_quadrature, at most
+    _CELL_BLOCK cells at a time; their results do not depend on the
+    block size, and their memory beyond the output does not grow with
+    the mesh."""
+
+    @staticmethod
+    def kernels(dofmap):
+        """The loads of example1's f and y_d and the L2 and H1 errors of
+        the interpolant of its exact state, as (name, call) pairs."""
+        spec = load_config("example1")
+        y = spec.field(spec.exact["y"])
+        g1, g2 = (spec.field(s) for s in spec.exact["y_grad"])
+        u = interpolate(dofmap, y)
+        return (("load_f", lambda: assemble_load(dofmap, spec.field(spec.f))),
+                ("load_y_d",
+                 lambda: assemble_load(dofmap, spec.field(spec.y_d))),
+                ("L2", lambda: error_L2(u, y)),
+                ("H1", lambda: error_H1_semi(
+                    u, lambda a, b: (g1(a, b), g2(a, b)))))
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_blocks_of_8_are_bitwise_the_default(self, monkeypatch, degree):
+        for mesh in mesh_hierarchy(load_config("example1").domain, 5):
+            for name, call in self.kernels(DofMap(mesh, degree)):
+                default = np.asarray(call()).tobytes()
+                for block in (8, 2 ** 62):
+                    monkeypatch.setattr(assembly, "_CELL_BLOCK", block)
+                    assert np.asarray(call()).tobytes() == default, (
+                        mesh.level, name, block)
+                    monkeypatch.undo()
+
+    def test_level7_p1_transients_do_not_scale_with_the_mesh(self):
+        # Level 7 has 131072 cells and the P1 rule 7 points, so one
+        # block's (nq, nb) plane is 7·4096·8 B = 0.22 MB.  Each norm
+        # keeps a 1 MB per-cell array and about a dozen planes: 5 MB.
+        # The load keeps its 3 MB (nt, 3) local entries, and bincount
+        # copies the mesh's read-only (nt, 3) cell dofs: 8 MB.  The
+        # whole-mesh planes needed 42 MB (L2), 70 MB (H1) and 20 MB
+        # (load).
+        dofmap = DofMap(mesh_hierarchy(load_config("example1").domain,
+                                       7)[-1], 1)
+        bounds = {"load_f": 8, "load_y_d": 8, "L2": 5, "H1": 5}
+        for name, call in self.kernels(dofmap):
+            call()   # the cached cell geometry is not a transient
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = np.asarray(call())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra = (peak - before - out.nbytes) / 2 ** 20
+            assert extra < bounds[name], (name, extra)
 
 
 class TestLoadVector:

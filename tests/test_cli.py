@@ -8,6 +8,9 @@ stay simple; the exit-code contract is 0 success, 2 config/usage,
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -439,3 +442,14 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "solve" in capsys.readouterr().out
+
+
+def test_import_does_not_load_scipy_io():
+    # scipy.io serves only solve --dump-matrix, which imports it; a
+    # module-level import would add its load time to every process
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, dbcfem.cli; print('scipy.io' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
