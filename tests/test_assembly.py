@@ -275,9 +275,8 @@ class TestCellBlocks:
         # block's (nq, nb) plane is 7·4096·8 B = 0.22 MB.  Each norm
         # keeps a 1 MB per-cell array and about a dozen planes: 5 MB.
         # The load keeps its 3 MB (nt, 3) local entries, and bincount
-        # copies the mesh's read-only (nt, 3) cell dofs: 8 MB.  The
-        # whole-mesh planes needed 42 MB (L2), 70 MB (H1) and 20 MB
-        # (load).
+        # copies the mesh's read-only (nt, 3) cell dofs: 8 MB.  Planes
+        # of the whole mesh would be 7.3 MB each.
         dofmap = DofMap(mesh_hierarchy(load_config("example1").domain,
                                        7)[-1], 1)
         bounds = {"load_f": 8, "load_y_d": 8, "L2": 5, "H1": 5}
