@@ -273,8 +273,6 @@ def verify_discrete_stability(field, gamma):
     """
     dofmap = field.dofmap
     v = field.coeffs
-    if not v.any():
-        return 0.0, 0.0
     combined = (math.sqrt(gamma) * math.sqrt(v @ (dofmap.boundary_mass @ v))
                 + math.sqrt(v @ (dofmap.mass @ v)))
     return combined, seminorm_H_half_boundary(field)

@@ -52,8 +52,7 @@ class DofMap:
     """
 
     def __init__(self, mesh, degree=1):
-        if degree not in (1, 2):
-            raise ValueError("unsupported degree %r (only 1 and 2)" % (degree,))
+        ReferenceBasis(degree)  # raises ValueError on a degree but 1 or 2
         self.mesh = mesh
         self.degree = degree
         tri = mesh.triangles

@@ -19,12 +19,11 @@ key: l2_y, h1_y, l2_z, h1_z, l2_u (u is the boundary trace of y, so its
 error is a boundary L2 norm of the state).
 """
 
-import copy
 import hashlib
 import json
 import os
 import tempfile
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from zipfile import BadZipFile
 
 import numpy as np
@@ -69,8 +68,9 @@ def _column(entry):
 
 
 def _real(v):
-    """float(v) of a finite number, refusing the bools that float() takes."""
-    if isinstance(v, (bool, np.bool_)) or not np.isfinite(float(v)):
+    """float(v) of a finite number, refusing the strings and bools that
+    float() takes."""
+    if isinstance(v, (str, bool, np.bool_)) or not np.isfinite(float(v)):
         raise ValueError("expected a finite number, got %r" % (v,))
     return float(v)
 
@@ -93,14 +93,15 @@ def _items(convert):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Validated problem setup; construct via load_config for JSON input.
+    """Validated problem setup; see load_config for presets and JSON.
 
-    Direct construction and dataclasses.replace are normalized and
-    checked here just as JSON input is: a column is a norm key or a
-    (key, with_order) pair with a boolean with_order, exact holds only
-    the EXACT_KEYS and its *_grad entries are pairs, constants are
-    floats and expressions are strings.  A value that does not convert
-    is a ConfigError that names its key.
+    Every spec, from JSON, a preset, direct construction or
+    dataclasses.replace, is normalized and checked here: a column is a
+    norm key or a (key, with_order) pair with a boolean with_order,
+    exact holds only the EXACT_KEYS and its *_grad entries are pairs,
+    numbers are finite and not strings, and expressions are strings.
+    constants and exact are copied, never shared with the spec replaced.
+    A value that does not convert is a ConfigError that names its key.
     """
 
     name: str
@@ -114,7 +115,7 @@ class ProblemSpec:
     constants: dict = None
     exact: dict = None
     reference_level: int = None
-    solver_tolerance: float = 1e-12
+    solver_tolerance: float = SolverConfig.tolerance
 
     def __post_init__(self):
         def fix(key, convert):
@@ -227,15 +228,15 @@ class ProblemSpec:
         return lambda x1, x2: (g1(x1, x2), g2(x1, x2))
 
 
-REGISTRY = {
-    "example1": {
-        "name": "example1",
-        "domain": (0.0, 1.0, 0.0, 1.0),
-        "gamma": 1.0,
-        "degree": 1,
-        "f": "-4/gamma",
-        "y_d": "(2 + 1/gamma)*(x1^2 - x1 + x2^2 - x2)",
-        "exact": {
+REGISTRY = {spec.name: spec for spec in (
+    ProblemSpec(
+        name="example1",
+        domain=(0.0, 1.0, 0.0, 1.0),
+        gamma=1.0,
+        degree=1,
+        f="-4/gamma",
+        y_d="(2 + 1/gamma)*(x1^2 - x1 + x2^2 - x2)",
+        exact={
             "y": "(x1^2 - x1 + x2^2 - x2)/gamma",
             "y_grad": ("(2*x1 - 1)/gamma", "(2*x2 - 1)/gamma"),
             "z": "(x1^2 - x1)*(x2^2 - x2)",
@@ -243,80 +244,75 @@ REGISTRY = {
                        "(x1^2 - x1)*(2*x2 - 1)"),
             "u": "(x1^2 - x1 + x2^2 - x2)/gamma",
         },
-        "levels": (0, 1, 2, 3, 4),
-        "columns": (("h1_y", True), ("h1_z", True), ("l2_u", True)),
-    },
-    "example2": {
-        "name": "example2",
-        "domain": (0.0, 0.25, 0.0, 0.25),
-        "gamma": 1.0,
-        "degree": 1,
-        "f": "0",
-        "y_d": "(x1^2 + x2^2)^s",
-        "constants": {"s": 1e-5},
-        "levels": (0, 1, 2, 3, 4),
-        "reference_level": 7,
+        levels=(0, 1, 2, 3, 4),
+        columns=(("h1_y", True), ("h1_z", True), ("l2_u", True)),
+    ),
+    ProblemSpec(
+        name="example2",
+        domain=(0.0, 0.25, 0.0, 0.25),
+        gamma=1.0,
+        degree=1,
+        f="0",
+        y_d="(x1^2 + x2^2)^s",
+        constants={"s": 1e-5},
+        levels=(0, 1, 2, 3, 4),
+        reference_level=7,
         # With a zero volume force the load norm is ~1e5 times smaller
         # than |matrix|*|solution|, so even the correctly rounded exact
         # solution of the reference-level system carries a relative
         # residual near 2e-11; the default 1e-12 gate is unreachable in
         # double precision on this data and 1e-10 is the honest bound.
-        "solver_tolerance": 1e-10,
-        "columns": (("l2_y", True), ("l2_z", True), ("l2_u", False),
-                    ("h1_y", False)),
-    },
-}
+        solver_tolerance=1e-10,
+        columns=(("l2_y", True), ("l2_z", True), ("l2_u", False),
+                 ("h1_y", False)),
+    ),
+)}
 
 
 def load_config(source):
     """Build a ProblemSpec from a preset name or a JSON config path.
 
-    A config file may name a preset under "problem" and override any of
-    its fields, or define every field itself.  Unknown keys are an
-    error rather than a silent ignore.
+    A preset is a dataclasses.replace of its REGISTRY spec.  A config
+    file may name a preset under "problem" and override any of its
+    fields by replace, or define every field itself and be named after
+    the file.  Unknown keys are an error rather than a silent ignore.
     """
-    settable = [f for f in fields(ProblemSpec) if f.name != "name"]
     if source in REGISTRY:
-        merged = copy.deepcopy(REGISTRY[source])
-    else:
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise ConfigError("invalid JSON in %s: %s" % (source, err)) from None
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
-        base = data.pop("problem", None)
-        if base is not None:
-            if not isinstance(base, str) or base not in REGISTRY:
-                raise ConfigError("unknown problem preset '%s'" % (base,))
-            merged = copy.deepcopy(REGISTRY[base])
-        else:
-            merged = {"name": os.path.splitext(os.path.basename(source))[0]}
-        unknown = sorted(set(data) - {f.name for f in settable})
-        if unknown:
-            raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
-        merged.update(data)
-
+        return replace(REGISTRY[source])
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise ConfigError("invalid JSON in %s: %s" % (source, err)) from None
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a JSON object")
+    base = data.pop("problem", None)
+    if base is not None and (not isinstance(base, str)
+                             or base not in REGISTRY):
+        raise ConfigError("unknown problem preset '%s'" % (base,))
+    settable = [f for f in fields(ProblemSpec) if f.name != "name"]
+    unknown = sorted(set(data) - {f.name for f in settable})
+    if unknown:
+        raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
+    if base is not None:
+        return replace(REGISTRY[base], **data)
     missing = [f.name for f in settable
-               if f.default is MISSING and f.name not in merged]
+               if f.default is MISSING and f.name not in data]
     if missing:
         raise ConfigError("config is missing: %s" % ", ".join(missing))
-    return ProblemSpec(**merged)
+    return ProblemSpec(name=os.path.splitext(os.path.basename(source))[0],
+                       **data)
+
+
+# fields that choose how a study measures, tabulates and labels its
+# errors; every other field of ProblemSpec determines the solution
+_PRESENTATION = ("name", "levels", "columns", "exact")
 
 
 def config_hash(spec):
-    """Short stable digest of the fields that determine the solution."""
-    payload = {
-        "domain": list(spec.domain),
-        "gamma": spec.gamma,
-        "degree": spec.degree,
-        "f": spec.f,
-        "y_d": spec.y_d,
-        "constants": dict(sorted(spec.constants.items())),
-        "reference_level": spec.reference_level,
-        "solver_tolerance": spec.solver_tolerance,
-    }
+    """Short stable digest of every field but the _PRESENTATION ones."""
+    payload = {key: value for key, value in asdict(spec).items()
+               if key not in _PRESENTATION}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 

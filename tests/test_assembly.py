@@ -100,6 +100,12 @@ class TestGlobalMatrices:
             want = dense_global_matrix(dofmap, kind)
             assert np.abs(got - want).max() <= 1e-13, kind
 
+    @pytest.mark.parametrize("degree", [0, 3])
+    def test_dofmap_rejects_an_unsupported_degree(self, degree):
+        with pytest.raises(ValueError, match=r"unsupported degree %d "
+                                             r"\(only 1 and 2\)" % degree):
+            DofMap(mesh_hierarchy(UNIT, 0)[-1], degree)
+
     @pytest.mark.parametrize("degree", [1, 2])
     def test_dofmap_caches_its_operators(self, degree):
         dofmap = DofMap(mesh_hierarchy(UNIT, 2)[-1], degree)

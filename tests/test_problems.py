@@ -19,8 +19,8 @@ from dbcfem import (
 from dbcfem.analysis import compute_eoc, interpolate
 from dbcfem.assembly import DofMap
 from dbcfem.mesh import mesh_hierarchy
-from dbcfem.problems import (NORMS, ProblemSpec, _errors_exact, _matrix_norms,
-                             config_hash)
+from dbcfem.problems import (NORMS, REGISTRY, ProblemSpec, _errors_exact,
+                             _matrix_norms, config_hash)
 
 MINIMAL = {
     "domain": [0.0, 1.0, 0.0, 1.0],
@@ -57,6 +57,16 @@ NON_FINITE = [
     ({"domain": [0, float("inf"), 0, 1]}, "bad value for domain"),
     ({"gamma": float("inf")}, "bad value for gamma"),
     ({"constants": {"s": float("nan")}}, "bad value for constants"),
+]
+
+# strings that float() reads as numbers ("1_0" as 10.0, " 1 " as 1.0); a
+# number in a config is a JSON number, never a string
+NUMERIC_STRINGS = [
+    ({"gamma": "0.5"}, "bad value for gamma"),
+    ({"gamma": "1_0"}, "bad value for gamma"),
+    ({"gamma": " 1 "}, "bad value for gamma"),
+    ({"domain": ["0", "1", "0", "1"]}, "bad value for domain"),
+    ({"constants": {"s": "2e-5"}}, "bad value for constants"),
 ]
 
 
@@ -98,6 +108,23 @@ class TestPresets:
         spec = load_config("example2")
         yd = spec.field(spec.y_d)
         assert yd(0.1, 0.1) == pytest.approx((0.02) ** 1e-5, rel=1e-12)
+
+    @pytest.mark.parametrize("preset", ["example1", "example2"])
+    @pytest.mark.parametrize("override", [False, True])
+    def test_results_share_no_dicts(self, tmp_path, preset, override):
+        # constants and exact are dicts inside a frozen spec; mutating one
+        # result must reach neither the preset nor the next result
+        source = (write_config(tmp_path, {"problem": preset, "gamma": 0.5})
+                  if override else preset)
+        registry = dataclasses.asdict(REGISTRY[preset])
+        fresh = dataclasses.asdict(load_config(source))
+        spec = load_config(source)
+        spec.constants["s"] = 0.0
+        if spec.exact is not None:
+            spec.exact["y"] = "0"
+            spec.exact.pop("u")
+        assert dataclasses.asdict(REGISTRY[preset]) == registry
+        assert dataclasses.asdict(load_config(source)) == fresh
 
 
 class TestJsonConfig:
@@ -181,6 +208,7 @@ class TestValidation:
         ({"exact": {"y": "x1", "y_grad": [1, 2]}},
          "bad expression for y_grad: 1 is not a string"),
         *NON_FINITE,
+        *NUMERIC_STRINGS,
     ])
     def test_bad_field_rejected(self, tmp_path, patch, match):
         payload = dict(MINIMAL, **patch)
@@ -260,16 +288,33 @@ class TestValidation:
 
 
 class TestConfigHash:
+    @pytest.mark.parametrize("preset,digest", [
+        ("example1", "d5d3daa649e51b0d"),
+        ("example2", "417ba535512b5890"),
+    ])
+    def test_preset_digests_are_pinned(self, preset, digest):
+        # the reference cache is keyed by this digest: a change to the
+        # hashed JSON would orphan every cached reference
+        assert config_hash(load_config(preset)) == digest
+
     def test_stable_and_sensitive(self):
         a = load_config("example1")
         assert config_hash(a) == config_hash(load_config("example1"))
-        bumped = dataclasses.replace(a, gamma=2.0)
-        assert config_hash(bumped) != config_hash(a)
+        # one change to each field that determines the solution
+        changes = [{"gamma": 2.0}, {"domain": (0.0, 2.0, 0.0, 1.0)},
+                   {"degree": 2}, {"f": "-4"}, {"y_d": "x1"},
+                   {"constants": {"c": 1.0}}, {"reference_level": 7},
+                   {"solver_tolerance": 1e-10}]
+        digests = {config_hash(dataclasses.replace(a, **change))
+                   for change in changes}
+        assert len(digests) == len(changes)
+        assert config_hash(a) not in digests
 
     def test_ignores_presentation_fields(self):
         a = load_config("example1")
-        b = dataclasses.replace(a, levels=(0, 1),
-                                columns=(("h1_y", True),))
+        b = dataclasses.replace(a, name="other", levels=(0, 1),
+                                columns=(("h1_y", True),),
+                                exact={"y": "x1", "y_grad": ("1", "0")})
         assert config_hash(b) == config_hash(a)
 
 
