@@ -32,6 +32,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 _MAX_CG_ITERATIONS = 200
+_ROW_BLOCK = 2 ** 13      # rows per block of the 80-bit residual
 
 
 class SolverError(RuntimeError):
@@ -49,13 +50,19 @@ class SolverConfig:
 
 
 def _extended_residual(system):
-    """The map x = [Y; Z] -> [F - A·Y; G - B·Y - C·Z], accumulated block
-    by block in 80-bit precision, so the coupled matrix is never formed.
-    A·Y = (K·Y)[I], C·Z = K·Z with Z zero-extended to N dofs, and
-    -B·Y = M·Y + (gamma·M_Gamma)·Y, so B is not formed either.  The
-    entries of K, M and gamma·M_Gamma, and F and G, are cast once, when
-    the map is built; the 80-bit matrices share the index arrays of the
-    originals.  The adjoint block is summed in place into M·Y.
+    """The map x = [Y; Z] -> [F - A·Y; G - B·Y - C·Z], accumulated in
+    80-bit precision, so the coupled matrix is never formed.  A·Y =
+    (K·Y)[I], C·Z = K·Z with Z zero-extended to N dofs, and -B·Y = M·Y +
+    (gamma·M_Gamma)·Y, so B is not formed either.  Nothing is cast when
+    the map is built: each call walks the rows in blocks of at most
+    _ROW_BLOCK and casts each block's entries of K, M and M_Gamma once
+    (M_Gamma scaled by gamma in 80 bits), beside the block's own slice
+    of the column indices and row pointers, so neither an 80-bit copy
+    of a whole matrix nor a copy of a whole index array is made.  K·Y
+    and K·Z come from the same cast block of K, and the adjoint rows are
+    summed in place into the output.  Each row is summed in stored
+    order, as by one product with the whole matrix, so the blocks do not
+    change the result.
 
     In plain double arithmetic the computed residual of a good solution
     is dominated by rounding in the matrix-vector products themselves,
@@ -65,22 +72,32 @@ def _extended_residual(system):
     extended accumulation pushes it out of the way.
     """
     ld = np.longdouble
-    I, n = system.interior, system.num_dofs
-    K, M, gM_Gamma = (sp.csr_matrix((A.data.astype(ld), A.indices, A.indptr),
-                                    shape=A.shape)
-                      for A in (system.K, system.M, system.M_Gamma))
-    gM_Gamma.data *= ld(system.gamma)
-    F, G = system.F.astype(ld), system.G.astype(ld)
+    I, n, ni = system.interior, system.num_dofs, len(system.interior)
+    F, G, gamma = system.F, system.G, ld(system.gamma)
+
+    def rows(A, start, stop):    # rows start:stop of A, 80-bit entries
+        lo, hi = A.indptr[start], A.indptr[stop]
+        return sp.csr_matrix((A.data[lo:hi].astype(ld), A.indices[lo:hi],
+                              A.indptr[start:stop + 1] - lo),
+                             shape=(stop - start, A.shape[1]))
 
     def residual_of(x):
         Y, Z = x[:n].astype(ld), np.zeros(n, dtype=ld)
         Z[I] = x[n:]
-        r = F - (K @ Y)[I]
-        s = M @ Y                # G - B·Y - C·Z, in place
-        s += G
-        s += gM_Gamma @ Y
-        s -= K @ Z
-        return np.concatenate([r, s])
+        out = np.empty(ni + n, dtype=ld)
+        for start in range(0, n, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, n)
+            s = out[ni + start:ni + stop]    # G - B·Y - C·Z, in place
+            s[:] = rows(system.M, start, stop) @ Y
+            s += G[start:stop]
+            gM_Gamma = rows(system.M_Gamma, start, stop)
+            gM_Gamma.data *= gamma
+            s += gM_Gamma @ Y
+            K = rows(system.K, start, stop)
+            s -= K @ Z
+            a, b = np.searchsorted(I, (start, stop))
+            np.subtract(F[a:b], (K @ Y)[I[a:b] - start], out=out[a:b])
+        return out
 
     return residual_of
 
@@ -188,6 +205,11 @@ def _sine_solver(K_II, cell, shape):
     """
     from scipy.fft import dstn  # only the grid paths need scipy.fft
     m, n = shape
+    # ‖K_II‖∞ for the check below, taken before the probe planes exist:
+    # one sum per nonempty row, and an empty row's 0 is never above it
+    rows = K_II.indptr[:-1][np.diff(K_II.indptr) > 0]
+    inf_norm = (float(np.add.reduceat(np.abs(K_II.data), rows).max())
+                if len(rows) else 0.0)
 
     def grid(f):                 # node values as (..., m, n) arrays
         u = np.empty(f.shape[:-1] + (m * n,))
@@ -241,12 +263,7 @@ def _sine_solver(K_II, cell, shape):
     f = np.random.default_rng(0).standard_normal(K_II.shape[0])
     with np.errstate(invalid="ignore"):
         x = probed_solve(f)
-    # ‖K_II‖∞ from the stored entries, with no sparse copy abs(K_II):
-    # one sum per nonempty row, and an empty row's 0 is never above it
-    rows = K_II.indptr[:-1][np.diff(K_II.indptr) > 0]
-    inf_norm = (np.add.reduceat(np.abs(K_II.data), rows).max()
-                if len(rows) else 0.0)
-    scale = _norm(f) + float(inf_norm) * _norm(x)
+    scale = _norm(f) + inf_norm * _norm(x)
     return probed_solve if _norm(K_II @ x - f) <= 1e-12 * scale else None
 
 
@@ -284,10 +301,13 @@ def _reduced_solver(system, atol, stats):
     """
     I, Bnd, K, M = system.interior, system.boundary, system.K, system.M
     n, ni, nb, gamma = system.num_dofs, len(I), len(Bnd), system.gamma
-    # K_BI is not K_IB.T: the P2 stiffness is symmetric only to rounding
+    # K_BI is not K_IB.T: the P2 stiffness is symmetric only to rounding.
+    # K[I] is dropped before the K_II set-up, whose probe planes set the
+    # peak of the solve.
     K_I = K[I]
-    K_IB, K_BI = K_I[:, Bnd], K[Bnd][:, I]
-    solve_II, record = _interior_solver(K_I[:, I], system.coords[I])
+    K_IB, K_II, K_BI = K_I[:, Bnd], K_I[:, I], K[Bnd][:, I]
+    del K_I
+    solve_II, record = _interior_solver(K_II, system.coords[I])
     stats.update(record)
     # M_Gamma has entries only in the boundary rows and columns
     M_Gamma_BB = system.M_Gamma[Bnd][:, Bnd]

@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from zipfile import BadZipFile
 
@@ -83,12 +84,21 @@ def _integer(v):
 
 
 def _items(convert):
-    """tuple(map(convert, v)) of a sequence v that is not a string."""
+    """tuple(map(convert, v)) of a sequence v that is not a string or a
+    mapping, whose iteration would read its characters or its keys."""
     def run(v):
-        if isinstance(v, str):
-            raise TypeError("expected a list, got the string %r" % (v,))
+        if isinstance(v, (str, Mapping)):
+            raise TypeError("expected a list, got %r" % (v,))
         return tuple(map(convert, v))
     return run
+
+
+def _mapping(v):
+    """v itself if it is a mapping; dict() would also take a list of
+    pairs."""
+    if not isinstance(v, Mapping):
+        raise TypeError("expected a mapping, got %r" % (v,))
+    return v
 
 
 @dataclass(frozen=True)
@@ -99,7 +109,8 @@ class ProblemSpec:
     dataclasses.replace, is normalized and checked here: a column is a
     norm key or a (key, with_order) pair with a boolean with_order,
     exact holds only the EXACT_KEYS and its *_grad entries are pairs,
-    numbers are finite and not strings, and expressions are strings.
+    numbers are finite and not strings, expressions are strings, a list
+    is neither a string nor a mapping, and constants is a mapping.
     constants and exact are copied, never shared with the spec replaced.
     A value that does not convert is a ConfigError that names its key.
     """
@@ -132,8 +143,8 @@ class ProblemSpec:
         fix("degree", _integer)
         fix("levels", _items(_integer))
         fix("columns", _items(_column))
-        fix("constants", lambda v: {k: _real(c)
-                                    for k, c in dict(v or {}).items()})
+        fix("constants", lambda v: {k: _real(c) for k, c in _mapping(
+            {} if v is None else v).items()})
         if self.exact is not None:
             pair = _items(lambda c: c)
             fix("exact", lambda v: {k: pair(e) if k.endswith("_grad") else e

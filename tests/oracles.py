@@ -5,7 +5,8 @@ quadrature and solver code paths: local matrices come from exact
 rational integration of barycentric monomials, the fractional boundary
 seminorm comes from a brute-force panel-pair integration with much
 finer quadrature than the library uses, and the coupled system is
-solved by one sparse LU of the whole matrix.  The mesh invariant check
+solved by one sparse LU of the whole matrix, its 80-bit residual by
+products with whole 80-bit copies of the matrices.  The mesh invariant check
 lives here too, as only the tests call it, and so do the loop and
 einsum forms that the vectorized kernels replaced, the row-by-row
 writers that numpy and dataclasses replaced, and the two level-spread
@@ -32,6 +33,32 @@ def coupled_lu_solve(system):
     """(Y, Z) from one splu of the whole coupled matrix system.full()."""
     x = splu(system.full().tocsc()).solve(system.rhs())
     return x[:system.num_dofs], x[system.num_dofs:]
+
+
+def extended_residual_cast_once(system):
+    """The 80-bit residual map x -> [F - A·Y; G - B·Y - C·Z] that casts
+    whole 80-bit copies of K, M and gamma·M_Gamma, and F and G, once
+    when it is built, and multiplies with the whole matrices; the blocked
+    map of linalg._extended_residual must give the same bits."""
+    ld = np.longdouble
+    I, n = system.interior, system.num_dofs
+    K, M, gM_Gamma = (sp.csr_matrix((A.data.astype(ld), A.indices, A.indptr),
+                                    shape=A.shape)
+                      for A in (system.K, system.M, system.M_Gamma))
+    gM_Gamma.data *= ld(system.gamma)
+    F, G = system.F.astype(ld), system.G.astype(ld)
+
+    def residual_of(x):
+        Y, Z = x[:n].astype(ld), np.zeros(n, dtype=ld)
+        Z[I] = x[n:]
+        r = F - (K @ Y)[I]
+        s = M @ Y
+        s += G
+        s += gM_Gamma @ Y
+        s -= K @ Z
+        return np.concatenate([r, s])
+
+    return residual_of
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from dbcfem.mesh import mesh_hierarchy
 
 from oracles import (bubble_check_block, control_csv_per_row,
                      convergence_report_by_hand, stability_check_block)
-from test_problems import NON_FINITE, NUMERIC_STRINGS, WRONG_TYPES
+from test_problems import (NON_FINITE, NUMERIC_STRINGS, WRONG_CONTAINERS,
+                           WRONG_TYPES)
 
 
 def write_config(tmp_path, payload, name="case.json"):
@@ -407,7 +408,8 @@ class TestExitCodes:
         assert "unknown config keys" in capsys.readouterr().err
 
     def test_wrong_type_values_are_config_errors(self, tmp_path, capsys):
-        for patch, _ in WRONG_TYPES + NON_FINITE + NUMERIC_STRINGS:
+        for patch, _ in (WRONG_TYPES + NON_FINITE + NUMERIC_STRINGS
+                         + WRONG_CONTAINERS):
             config = write_config(tmp_path, {"problem": "example1", **patch})
             assert main(["verify", "--config", config]) == 2, patch
             err = capsys.readouterr().err

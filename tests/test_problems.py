@@ -69,6 +69,15 @@ NUMERIC_STRINGS = [
     ({"constants": {"s": "2e-5"}}, "bad value for constants"),
 ]
 
+# containers of the wrong kind: iterating an object reads its keys (a
+# column's with_order would be dropped), and dict() takes a list of pairs
+WRONG_CONTAINERS = [
+    ({"columns": {"h1_y": False, "l2_u": 0}}, "bad value for columns"),
+    ({"constants": [["s", 2e-5]]}, "bad value for constants"),
+    ({"exact": {"y": "x1", "y_grad": {"1": 0, "2": 0}}},
+     "bad value for exact"),
+]
+
 
 def write_config(tmp_path, payload, name="case.json"):
     path = tmp_path / name
@@ -209,6 +218,7 @@ class TestValidation:
          "bad expression for y_grad: 1 is not a string"),
         *NON_FINITE,
         *NUMERIC_STRINGS,
+        *WRONG_CONTAINERS,
     ])
     def test_bad_field_rejected(self, tmp_path, patch, match):
         payload = dict(MINIMAL, **patch)
