@@ -21,7 +21,9 @@ diagonal with blocks of at most 4 x 4, which are probed in one batch,
 inverted plane by plane through their 2 x 2-block Schur complement and
 confirmed by a fixed-seed solve.  Every other K_II is factored once with
 splu.  A solve sets up once the K_II solve, the stop threshold of CG and
-the sweeps, and their 80-bit residual map.
+the sweeps, and their 80-bit residual map, which keeps no 80-bit matrix:
+each call casts the entries of K, M and M_Gamma one block of rows at a
+time.
 """
 
 import logging
@@ -74,6 +76,10 @@ def _extended_residual(system):
     ld = np.longdouble
     I, n, ni = system.interior, system.num_dofs, len(system.interior)
     F, G, gamma = system.F, system.G, ld(system.gamma)
+    # the state rows of a block are found in I sorted; a DofMap's I is,
+    # but a BlockSystem may order its unknowns otherwise
+    order = None if np.all(I[:-1] < I[1:]) else np.argsort(I)
+    I_sorted = I if order is None else I[order]
 
     def rows(A, start, stop):    # rows start:stop of A, 80-bit entries
         lo, hi = A.indptr[start], A.indptr[stop]
@@ -95,8 +101,9 @@ def _extended_residual(system):
             s += gM_Gamma @ Y
             K = rows(system.K, start, stop)
             s -= K @ Z
-            a, b = np.searchsorted(I, (start, stop))
-            np.subtract(F[a:b], (K @ Y)[I[a:b] - start], out=out[a:b])
+            a, b = np.searchsorted(I_sorted, (start, stop))
+            at = slice(a, b) if order is None else order[a:b]
+            out[at] = F[at] - (K @ Y)[I_sorted[a:b] - start]
         return out
 
     return residual_of
@@ -349,6 +356,11 @@ def _reduced_solver(system, atol, stats):
 
 def solve_block(system, config=None, stats=None):
     """Solve the coupled system; returns (Y, Z).
+
+    The refinement sweeps and the gate share one stop threshold and
+    evaluate the residual in 80-bit precision; each evaluation casts the
+    entries of K, M and M_Gamma one block of rows at a time, so the
+    solve holds no 80-bit copy of a whole matrix.
 
     Keyword arguments:
         config -- SolverConfig; default is a 1e-12 relative residual

@@ -249,11 +249,18 @@ class TestSolveBlock:
         assert (sum(m.nnz for m in casts)
                 == (len(stats["iterations"]) + 1) * per_call), stats
 
+    @pytest.mark.parametrize("shuffled", [False, True])
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("block", [1, 7, None])   # None: one block
     def test_blocked_residual_is_the_cast_once_map(self, monkeypatch,
-                                                   degree, block):
+                                                   degree, block, shuffled):
+        # shuffled: the interior unknowns in an order of the caller's own,
+        # so a block's state rows are not one run of I
         system = example_system(level=3, gamma=0.3, degree=degree)
+        if shuffled:
+            p = np.random.default_rng(1).permutation(len(system.interior))
+            system = dataclasses.replace(system, F=system.F[p],
+                                         interior=system.interior[p])
         monkeypatch.setattr(linalg, "_ROW_BLOCK", block or system.num_dofs)
         Y, Z = solve_block(system)
         noise = np.random.default_rng(5).standard_normal(len(Y) + len(Z))
