@@ -60,7 +60,7 @@ def _extended_residual(system):
     _ROW_BLOCK and casts each block's entries of K, M and M_Gamma once
     (M_Gamma scaled by gamma in 80 bits), beside the block's own slice
     of the column indices and row pointers, so neither an 80-bit copy
-    of a whole matrix nor a copy of a whole index array is made.  K·Y
+    of a whole matrix nor a copy of its index arrays is made.  K·Y
     and K·Z come from the same cast block of K, and the adjoint rows are
     summed in place into the output.  Each row is summed in stored
     order, as by one product with the whole matrix, so the blocks do not
@@ -76,10 +76,10 @@ def _extended_residual(system):
     ld = np.longdouble
     I, n, ni = system.interior, system.num_dofs, len(system.interior)
     F, G, gamma = system.F, system.G, ld(system.gamma)
-    # the state rows of a block are found in I sorted; a DofMap's I is,
-    # but a BlockSystem may order its unknowns otherwise
-    order = None if np.all(I[:-1] < I[1:]) else np.argsort(I)
-    I_sorted = I if order is None else I[order]
+    # the state rows of a block are found in I sorted: a BlockSystem may
+    # order its unknowns otherwise
+    order = np.argsort(I)
+    I_sorted = I[order]
 
     def rows(A, start, stop):    # rows start:stop of A, 80-bit entries
         lo, hi = A.indptr[start], A.indptr[stop]
@@ -102,7 +102,7 @@ def _extended_residual(system):
             K = rows(system.K, start, stop)
             s -= K @ Z
             a, b = np.searchsorted(I_sorted, (start, stop))
-            at = slice(a, b) if order is None else order[a:b]
+            at = order[a:b]
             out[at] = F[at] - (K @ Y)[I_sorted[a:b] - start]
         return out
 
