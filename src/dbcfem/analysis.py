@@ -150,8 +150,13 @@ def seminorm_H_half_boundary(field):
     # Neighbours (off = 1) use the points graded toward the shared
     # vertex, the row panel's end and the column panel's start; farther
     # pairs tensor Gauss, 8 points up to 4 panels apart and 4 beyond.
+    # The points are kept as one plane per coordinate, so a squared
+    # distance is two plane sums, not a sum over a trailing axis of 2.
     def side(t):
-        return _panel_values(field, t), _edge_points(a, b, t)
+        pts = _edge_points(a, b, t)
+        return (_panel_values(field, t),
+                np.ascontiguousarray(pts[..., 0]),
+                np.ascontiguousarray(pts[..., 1]))
 
     tg, wg = _graded_points()
     rules = [(side(1.0 - tg), side(tg), wg)]
@@ -159,12 +164,13 @@ def seminorm_H_half_boundary(field):
         gauss = segment_quadrature(2 * q - 1)
         rules.append((side(gauss.points),) * 2 + (gauss.weights,))
     for off in range(1, n // 2 + 1):
-        (v_r, x_r), (v_c, x_c), w = rules[0 if off == 1 else
-                                          1 if off <= 4 else 2]
+        (v_r, x_r, y_r), (v_c, x_c, y_c), w = rules[0 if off == 1 else
+                                                    1 if off <= 4 else 2]
         rows = np.arange(n if off < n - off else n // 2)
         cols = (rows + off) % n
         num = (v_r[rows, :, None] - v_c[cols, None, :]) ** 2
-        d2 = ((x_r[rows, :, None] - x_c[cols, None]) ** 2).sum(axis=3)
+        d2 = (x_r[rows, :, None] - x_c[cols, None, :]) ** 2
+        d2 += (y_r[rows, :, None] - y_c[cols, None, :]) ** 2
         ww = np.einsum("e,i,j->eij", lengths[rows] * lengths[cols], w, w)
         total += 2.0 * float((num / d2 * ww).sum())
 

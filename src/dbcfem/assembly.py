@@ -95,7 +95,9 @@ def _cell_geometry(mesh):
     """Per triangle: origin, Jacobian, determinant."""
     tri = mesh.triangles
     x, y = mesh.vertices[:, 0][tri], mesh.vertices[:, 1][tri]  # (nt, 3)
-    jac = np.stack([x[:, 1:] - x[:, :1], y[:, 1:] - y[:, :1]], axis=1)
+    jac = np.empty((len(tri), 2, 2))
+    np.subtract(x[:, 1:], x[:, :1], out=jac[:, 0])
+    np.subtract(y[:, 1:], y[:, :1], out=jac[:, 1])
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
     return np.column_stack([x[:, 0], y[:, 0]]), jac, det
 
@@ -164,61 +166,69 @@ def _edge_quadrature(dofmap):
     return rule, lengths, _edge_points(a, b, rule.points)
 
 
-def _scatter(dofs, local, n, halvings=2):
-    """n x n CSR matrix summing the local matrices local[e] on the rows
-    and columns dofs[e]; sorted columns, no explicit zeros.  tocsr()
-    already sums the duplicates and sorts the columns.  The row and
-    column arrays are int32, the index type scipy would cast them to,
-    whenever n allows it.
+def _scatter(dofs, local, n, start=0, halvings=2):
+    """n x n CSR matrix summing the local matrices of the cells e on the
+    rows and columns dofs[e]; sorted columns, no explicit zeros.
+    local(cells) returns the (nb, nd, nd) or (nb, nd²) local matrices of
+    the slice cells of the rows of dofs.  tocsr() already sums the
+    duplicates and sorts the columns.  The row and column arrays are
+    int32, the index type scipy would cast them to, whenever n allows
+    it.
 
     More than _SCATTER_BLOCK cells are split into two halves of
     consecutive cells, at most twice, and the partial matrices are
-    added pairwise, so that only one quarter's COO arrays and
-    duplicates are live at once; a mesh of at most _SCATTER_BLOCK
-    cells is converted in one step.
+    added pairwise; local is asked for one part at a time, so only one
+    quarter's local matrices, COO arrays and duplicates are live at
+    once.  A mesh of at most _SCATTER_BLOCK cells is converted in one
+    step, with one call of local.  start is the first cell of dofs.
     """
     if halvings and len(dofs) > _SCATTER_BLOCK:
         h = len(dofs) // 2
-        return (_scatter(dofs[:h], local[:h], n, halvings - 1)
-                + _scatter(dofs[h:], local[h:], n, halvings - 1))
+        return (_scatter(dofs[:h], local, n, start, halvings - 1)
+                + _scatter(dofs[h:], local, n, start + h, halvings - 1))
     nd = dofs.shape[1]
     dofs = dofs.astype(np.int32 if n < 2 ** 31 else np.int64)
     rows = np.repeat(dofs, nd, axis=1).ravel()
     cols = np.tile(dofs, (1, nd)).ravel()
-    m = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    values = local(slice(start, start + len(dofs))).ravel()
+    m = sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
     m.eliminate_zeros()
     return m
 
 
-def _metric(dofmap):
-    """det J^-1 J^-T = adj(J) adj(J)^T / det per cell, as (nt, 4) rows,
-    from the DofMap's cell geometry."""
+def _metric(dofmap, cells):
+    """det J^-1 J^-T = adj(J) adj(J)^T / det per cell of the slice
+    cells, as (nb, 4) rows, from the DofMap's cell geometry."""
     _, jac, det = dofmap.cell_geometry
-    a, b, c, d = jac.reshape(-1, 4).T
+    a, b, c, d = jac[cells].reshape(-1, 4).T
     off = -(a * b + c * d)
     rows = np.column_stack([b * b + d * d, off, off, a * a + c * c])
-    return rows / det[:, None]
+    return rows / det[cells, None]
 
 
 def assemble_stiffness(dofmap):
     """N x N matrix with entries (grad phi_j, grad phi_i) over the domain:
     local matrices _metric @ R, with R_abnm = sum_q w_q d_a phi_n d_b phi_m
-    on the reference cell (Kirby & Logg, ACM TOMS 32, 2006)."""
+    on the reference cell (Kirby & Logg, ACM TOMS 32, 2006), computed
+    for one _scatter block of cells at a time."""
     rule = triangle_quadrature(2 * dofmap.degree)
     grads = ReferenceBasis(dofmap.degree).gradients(rule.points)
-    ref = np.einsum("q,nqa,mqb->abnm", rule.weights, grads, grads)
-    local = _metric(dofmap) @ ref.reshape(4, -1)
-    return _scatter(dofmap.cell_dofs, local, dofmap.num_dofs)
+    ref = np.einsum("q,nqa,mqb->abnm", rule.weights, grads,
+                    grads).reshape(4, -1)
+    return _scatter(dofmap.cell_dofs, lambda cells: _metric(dofmap, cells)
+                    @ ref, dofmap.num_dofs)
 
 
 def assemble_mass(dofmap):
-    """N x N matrix with entries (phi_j, phi_i) over the domain."""
+    """N x N matrix with entries (phi_j, phi_i) over the domain: local
+    matrices det times the reference mass, for one _scatter block of
+    cells at a time."""
     rule = triangle_quadrature(2 * dofmap.degree)
     vals = ReferenceBasis(dofmap.degree).values(rule.points)  # (nd, nq)
+    ref = np.einsum("q,nq,mq->nm", rule.weights, vals, vals)
     _, _, det = dofmap.cell_geometry
-    local = det[:, None, None] * np.einsum("q,nq,mq->nm", rule.weights,
-                                           vals, vals)
-    return _scatter(dofmap.cell_dofs, local, dofmap.num_dofs)
+    return _scatter(dofmap.cell_dofs, lambda cells: det[cells, None, None]
+                    * ref, dofmap.num_dofs)
 
 
 def _trace_values(degree, t):
@@ -228,15 +238,17 @@ def _trace_values(degree, t):
 
 
 def assemble_boundary_mass(dofmap):
-    """N x N matrix with entries (phi_j, phi_i) over the boundary curve.
+    """N x N matrix with entries (phi_j, phi_i) over the boundary curve,
+    from the local matrices of one _scatter block of edges at a time.
 
     Rows and columns of interior dofs are identically zero.
     """
     rule = segment_quadrature(2 * dofmap.degree)
     lengths = _boundary_geometry(dofmap)[2]
     vals = _trace_values(dofmap.degree, rule.points)  # (nd, nq)
-    local = np.einsum("q,e,nq,mq->enm", rule.weights, lengths, vals, vals)
-    return _scatter(dofmap.edge_dofs, local, dofmap.num_dofs)
+    return _scatter(dofmap.edge_dofs, lambda edges: np.einsum(
+        "q,e,nq,mq->enm", rule.weights, lengths[edges], vals, vals),
+        dofmap.num_dofs)
 
 
 def assemble_load(dofmap, g):

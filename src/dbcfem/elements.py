@@ -16,6 +16,7 @@ Gauss-Legendre mapped to [0,1].
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -130,10 +131,17 @@ def triangle_quadrature(exactness):
     return _TRI_RULES[degree]
 
 
-def segment_quadrature(exactness):
-    """Gauss-Legendre rule on [0,1] exact to at least the requested degree."""
-    if exactness < 1:
-        raise ValueError("unsupported quadrature exactness %r" % (exactness,))
-    n = (int(exactness) + 2) // 2
+@lru_cache(maxsize=None)
+def _segment_rule(n):
     x, w = leggauss(n)
     return QuadratureRule(0.5 * (x + 1.0), 0.5 * w, 2 * n - 1)
+
+
+def segment_quadrature(exactness):
+    """Gauss-Legendre rule on [0,1] exact to at least the requested degree.
+
+    leggauss solves an eigenvalue problem, so each rule is computed once
+    and then shared, like the triangle rules."""
+    if exactness < 1:
+        raise ValueError("unsupported quadrature exactness %r" % (exactness,))
+    return _segment_rule((int(exactness) + 2) // 2)

@@ -17,9 +17,9 @@ formed: -B·v is M·v + gamma·(M_Gamma·v), where M_Gamma acts through its
 boundary block alone, since it has no interior entries.  When the
 interior nodes fill a uniform grid (P1 and P2 on the rectangle meshes),
 K_II is solved by type-I sine transforms: in their basis it is block
-diagonal with blocks of at most 4 x 4, which are probed in one batch,
-inverted plane by plane through their 2 x 2-block Schur complement and
-confirmed by a fixed-seed solve.  Every other K_II is factored once with
+diagonal with blocks of at most 4 x 4, which are probed one quadrant of
+the modes at a time, inverted plane by plane through their 2 x 2-block
+Schur complement and confirmed by a fixed-seed solve.  Every other K_II is factored once with
 splu.  A solve sets up once the K_II solve, the stop threshold of CG and
 the sweeps, and their 80-bit residual map, which keeps no 80-bit matrix:
 each call casts the entries of K, M and M_Gamma one block of rows at a
@@ -204,9 +204,10 @@ def _sine_solver(K_II, cell, shape):
     the grid that _uniform_grid found (cell and shape are its result),
     or None when K_II fails the check of _interior_solver.
 
-    One batched product with K_II, between two batched DSTs, probes the
-    four quadrants of the modes.  The 4 x 4 blocks are stored as
-    (4, 4, m2, n2) planes and inverted by _plane_inverse, without
+    Four products with K_II, each between two DSTs, probe the four
+    quadrants of the modes one at a time, so one probe plane is live
+    beside the blocks.  The 4 x 4 blocks are stored as (4, 4, m2, n2)
+    planes and inverted by _plane_inverse, without
     pivoting: each is a principal block of the SPD Q·K_II·Q, or one
     whose duplicate rows are unit rows.
     """
@@ -227,24 +228,26 @@ def _sine_solver(K_II, cell, shape):
         return dstn(u, type=1, norm="ortho", axes=(-2, -1))
 
     # T = Q·K_II·Q couples mode (i, j) only to its flips (m-1-i, j),
-    # (i, n-1-j) and (m-1-i, n-1-j).  probe[c] is T times the indicator
-    # of the quadrant c = 2·(high in x) + (high in y) of the modes, high
-    # meaning i > m-1-i; it holds each mode's coupling to its one flip
-    # in that quadrant.
+    # (i, n-1-j) and (m-1-i, n-1-j).  The probe of quadrant c is T times
+    # the indicator of the quadrant c = 2·(high in x) + (high in y) of
+    # the modes, high meaning i > m-1-i; it holds each mode's coupling
+    # to its one flip in that quadrant.
     def flip(u, s):              # u mirrored in x if s & 2, in y if s & 1
         return u[..., ::-1 if s & 2 else 1, ::-1 if s & 1 else 1]
 
-    high = [np.arange(k) > (k - 1) / 2 for k in (m, n)]
-    e = np.array([np.outer(high[0] == c >> 1, high[1] == c & 1)
-                  for c in range(4)], dtype=float)
-    probe = Q(grid((K_II @ Q(e).reshape(4, -1)[:, cell].T).T))
     # the 4 x 4 block of each low mode p and its flips, as (4, 4, m2,
     # n2) planes: row r, column c is T's coupling of flip(p, r) to
-    # flip(p, c)
+    # flip(p, c).  One quadrant is probed at a time, so only one
+    # probe plane is live beside the blocks.
+    high = [np.arange(k) > (k - 1) / 2 for k in (m, n)]
     m2, n2 = (m + 1) // 2, (n + 1) // 2
     block = np.empty((4, 4, m2, n2))
-    for r in range(4):
-        block[r] = flip(probe, r)[:, :m2, :n2]
+    for c in range(4):
+        e = np.outer(high[0] == c >> 1, high[1] == c & 1).astype(float)
+        probe = Q(grid(K_II @ Q(e).ravel()[cell]))
+        for r in range(4):
+            block[r, c] = flip(probe, r)[:m2, :n2]
+        del e, probe
     # a middle mode of an odd axis is its own flip: the columns of that
     # flip are 0 and its rows repeat the mode's own, so unit rows stand
     # in for them
@@ -287,8 +290,8 @@ def _interior_solver(K_II, xy):
     in both: it is diagonal for the 5-point Laplacian of P1, and for P2,
     whose nodes alternate vertex and midpoint and whose mesh is
     mirror-symmetric about every grid line, it has blocks of at most
-    4 x 4.  One batched product with K_II probes those blocks, which
-    are inverted once.  This solve is taken only if a fixed-seed one has
+    4 x 4.  One product with K_II per quadrant of the modes probes
+    those blocks, which are inverted once.  This solve is taken only if a fixed-seed one has
     ‖K_II x - f‖ <= 1e-12·(‖f‖ + ‖K_II‖∞·‖x‖), checked on every call.
     Every other K_II is factored once by splu in its default order.
     """

@@ -124,11 +124,10 @@ def edge_numbering(triangles):
     """
     tri = np.asarray(triangles, dtype=np.int64)
     n = int(tri.max()) + 1
-    pairs = np.sort(np.stack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]),
-                    axis=2)                                  # (3, nt, 2)
+    start, end = tri.T, np.roll(tri, -1, axis=1).T          # (3, nt)
     # one integer key per sorted pair orders the keys like the pairs
-    keys, inverse = np.unique(pairs[..., 0] * n + pairs[..., 1],
-                              return_inverse=True)
+    keys, inverse = np.unique(np.minimum(start, end) * n
+                              + np.maximum(start, end), return_inverse=True)
     edges = np.column_stack([keys // n, keys % n])
     return edges, inverse.reshape(3, -1).T
 

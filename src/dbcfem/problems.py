@@ -55,6 +55,33 @@ NORM_KEYS = tuple(NORMS)
 EXACT_KEYS = tuple(entry for _, entry, _, _ in NORMS.values())
 
 
+# The finest mesh a config or a solve may ask for has (2^10 + 1)² dofs:
+# the level-9 degree-1 reference, which a cold solve sets up in about
+# 0.7 GB, or level 8 of degree 2.  A finer level is refused before any
+# allocation.
+MAX_DOFS = (2 ** 10 + 1) ** 2
+
+
+def num_dofs(level, degree):
+    """(2^(level+degree) + 1)², the dof count of a level of the rectangle
+    meshes: the (2^(level+1) + 1)² vertices, and for degree 2 the edge
+    midpoints between them."""
+    return (2 ** (level + degree) + 1) ** 2
+
+
+def finest_level(degree):
+    """The finest level whose mesh has at most MAX_DOFS dofs."""
+    return max(lv for lv in range(32) if num_dofs(lv, degree) <= MAX_DOFS)
+
+
+def _check_level(key, level, degree):
+    """ConfigError naming key when level is finer than finest_level."""
+    if level > finest_level(degree):
+        raise ConfigError("bad value for %s: levels above %d are refused "
+                          "for degree %d (more than %d dofs)"
+                          % (key, finest_level(degree), degree, MAX_DOFS))
+
+
 def _column(entry):
     """(key, with_order) from a norm key or a [key, with_order] pair."""
     if isinstance(entry, str):
@@ -170,6 +197,10 @@ class ProblemSpec:
         if self.levels[0] < 0 or any(b <= a for a, b in zip(self.levels,
                                                             self.levels[1:])):
             raise ConfigError("levels must be nonnegative and increasing")
+        _check_level("levels", self.levels[-1], self.degree)
+        if self.reference_level is not None:
+            _check_level("reference_level", self.reference_level,
+                         self.degree)
         if not self.columns:
             raise ConfigError("columns must name at least one error norm")
         for key, _ in self.columns:
@@ -354,6 +385,7 @@ def solve_level(spec, level, dofmap=None, solver_config=None):
     if level < 0:
         raise ConfigError("refinement level must be nonnegative, got %d"
                           % level)
+    _check_level("level", level, spec.degree)
     if dofmap is None:
         dofmap = DofMap(mesh_hierarchy(spec.domain, level)[-1], spec.degree)
     elif (dofmap.mesh.level, dofmap.degree) != (level, spec.degree):

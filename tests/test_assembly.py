@@ -244,6 +244,60 @@ class TestScatterBlocks:
         assert sizes == [36 * 8 * 4 ** 6]
 
 
+class TestScatterLocal:
+    """_scatter asks its local function for one block of cells at a
+    time, so no local matrices of the whole mesh are computed at once
+    on a mesh of more than _SCATTER_BLOCK cells."""
+
+    @staticmethod
+    def requested(dofmap):
+        """The slices _scatter asks a recording local function for."""
+        asked = []
+
+        def local(cells):
+            asked.append(cells)
+            nb, nd = len(dofmap.cell_dofs[cells]), dofmap.cell_dofs.shape[1]
+            return np.ones((nb, nd, nd))
+        assembly._scatter(dofmap.cell_dofs, local, dofmap.num_dofs)
+        return [(c.start, c.stop) for c in asked]
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_local_is_asked_for_one_block_at_a_time(self, monkeypatch,
+                                                    degree):
+        monkeypatch.setattr(assembly, "_SCATTER_BLOCK", 8)
+        meshes = mesh_hierarchy(UNIT, 3)
+        # 8 cells: one call for the whole mesh
+        assert self.requested(DofMap(meshes[0], degree)) == [(0, 8)]
+        # 32 cells: four quarters of 8 in order, none above the block
+        assert self.requested(DofMap(meshes[1], degree)) == [
+            (0, 8), (8, 16), (16, 24), (24, 32)]
+        # at most two halvings: 128 and 512 cells give four quarters
+        for mesh in meshes[2:]:
+            nt = mesh.num_triangles
+            q = nt // 4
+            assert self.requested(DofMap(mesh, degree)) == [
+                (0, q), (q, 2 * q), (2 * q, 3 * q), (3 * q, nt)]
+
+    def test_level7_p1_operators_hold_one_quarter_of_local_matrices(self):
+        # Level 7 has 131072 cells, scattered in quarters of 32768.
+        # The whole (nt, 9) local array of the stiffness was 9.4 MB, and
+        # the stiffness and the mass peaked at 20.3 and 21.0 MB; with
+        # one quarter's local matrices at a time they peak at 13.6 and
+        # 14.3 MB, the output CSR (5.8 MB) included.
+        dofmap = DofMap(mesh_hierarchy(UNIT, 7)[-1], 1)
+        dofmap.cell_geometry   # cached, not a transient
+        for assemble in (assemble_stiffness, assemble_mass):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                assemble(dofmap)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra = (peak - before) / 2 ** 20
+            assert extra < 17, (assemble.__name__, extra)
+
+
 class TestCellBlocks:
     """The loads and the error norms iterate _cell_quadrature, at most
     _CELL_BLOCK cells at a time; their results do not depend on the

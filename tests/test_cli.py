@@ -27,8 +27,8 @@ from dbcfem.mesh import mesh_hierarchy
 
 from oracles import (bubble_check_block, control_csv_per_row,
                      convergence_report_by_hand, stability_check_block)
-from test_problems import (NON_FINITE, NUMERIC_STRINGS, WRONG_CONTAINERS,
-                           WRONG_TYPES)
+from test_problems import (NON_FINITE, NUMERIC_STRINGS, TOO_FINE,
+                           WRONG_CONTAINERS, WRONG_TYPES)
 
 
 def write_config(tmp_path, payload, name="case.json"):
@@ -409,11 +409,25 @@ class TestExitCodes:
 
     def test_wrong_type_values_are_config_errors(self, tmp_path, capsys):
         for patch, _ in (WRONG_TYPES + NON_FINITE + NUMERIC_STRINGS
-                         + WRONG_CONTAINERS):
+                         + WRONG_CONTAINERS + TOO_FINE):
             config = write_config(tmp_path, {"problem": "example1", **patch})
             assert main(["verify", "--config", config]) == 2, patch
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err, patch
+
+    @pytest.mark.parametrize("config,level", [
+        ("example1", "10"), ("example2", "40"), ("p2", "9")])
+    def test_level_beyond_the_bound_is_a_config_error(self, tmp_path, capsys,
+                                                      config, level):
+        if config == "p2":
+            config = write_config(tmp_path, {"problem": "example1",
+                                             "degree": 2})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", config, "--level", level,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad value for level: levels above "), err
+        assert not out.exists()
 
     def test_numeric_with_order_is_a_config_error(self, tmp_path, capsys):
         # 0 would otherwise read as "no order column"; no table is written

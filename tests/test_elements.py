@@ -159,3 +159,13 @@ class TestSegmentQuadrature:
         for exactness in range(1, 7):
             p = segment_quadrature(exactness).points
             assert (p > 0).all() and (p < 1).all()
+
+    @pytest.mark.parametrize("exactness", [1, 3, 7, 9, 15])
+    def test_rule_is_computed_once_and_is_leggauss(self, exactness):
+        rule = segment_quadrature(exactness)
+        assert segment_quadrature(exactness) is rule
+        x, w = np.polynomial.legendre.leggauss((exactness + 2) // 2)
+        assert rule.points.tobytes() == (0.5 * (x + 1.0)).tobytes()
+        assert rule.weights.tobytes() == (0.5 * w).tobytes()
+        assert not rule.points.flags.writeable
+        assert not rule.weights.flags.writeable

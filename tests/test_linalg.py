@@ -25,7 +25,8 @@ from dbcfem.linalg import (SolverConfig, SolverError, _interior_solver,
 from dbcfem.mesh import make_initial_mesh, mesh_hierarchy, refine_uniform
 from dbcfem.problems import load_config
 
-from oracles import coupled_lu_solve, extended_residual_cast_once
+from oracles import (coupled_lu_solve, extended_residual_cast_once,
+                     refined_lu_solve)
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -459,6 +460,61 @@ class TestBitwiseSolve:
         assert records[0] == records[1]
 
 
+class TestRefinedOracle:
+    """The four TestBitwiseSolve problems at levels 0-5, solved by
+    solve_block and by tests/oracles.py refined_lu_solve, the check that
+    a re-record of the solution digests needs: the plain coupled LU is
+    itself off by up to 3.8e-11 of max|Y| at these levels."""
+
+    @pytest.fixture(scope="class")
+    def levels(self):
+        """Per problem: its gate, and per level the oracle's relative
+        residual and the solver's max|ΔY| and max|ΔZ| from the oracle
+        over max|Y|."""
+        out = {}
+        for name, (preset, changes) in TestBitwiseSolve.SPECS.items():
+            spec = dataclasses.replace(load_config(preset), **changes)
+            f, y_d = spec.field(spec.f), spec.field(spec.y_d)
+            rows = []
+            for mesh in mesh_hierarchy(spec.domain, 5):
+                system = build_block_system(DofMap(mesh, spec.degree),
+                                            spec.gamma, f, y_d)
+                Y, Z = solve_block(system,
+                                   SolverConfig(spec.solver_tolerance))
+                Y_ref, Z_ref = refined_lu_solve(system)
+                scale = float(np.abs(Y_ref).max())
+                rows.append((residual(system, Y_ref, Z_ref),
+                             float(np.abs(Y - Y_ref).max()) / scale,
+                             float(np.abs(Z - Z_ref).max()) / scale))
+            out[name] = spec.solver_tolerance, rows
+        return out
+
+    def test_oracle_residual_is_far_below_every_gate(self, levels):
+        # measured 3.5e-21 (example1 at gamma = 0.01, level 0) to 4.1e-16
+        # (P2, level 5) at gate 1e-12, and at most 7.0e-16 for example2
+        # at 1e-10; a hundredth of the gate keeps the oracle's own error
+        # a small part of any difference measured against it
+        for name, (gate, rows) in levels.items():
+            for level, (rel, _, _) in enumerate(rows):
+                assert rel <= 1e-2 * gate, (name, level, rel)
+
+    def test_solver_is_within_a_hundred_gates_of_the_oracle(self, levels):
+        # The error of a solution is the inverse of the coupled matrix
+        # applied to its residual.  Over these levels max|ΔY|/max|Y| was
+        # at most 51 times the solver's own relative residual (example1
+        # at gamma = 0.01, level 4: 2.8e-12 at 5.5e-14), so any solution
+        # that meets the gate is within about 51·gate of the oracle, and
+        # 100·gate leaves room for that factor to grow.  Measured against
+        # the gate: 1.9e-14 for example1, 8.2e-12 at gamma = 0.01 and
+        # 1.9e-13 for P2 (all at gate 1e-12), and 2.8e-11 for example2 at
+        # level 2 under its 1e-10 gate.  max|ΔZ|/max|Y| is at most
+        # 4.4e-15.
+        for name, (gate, rows) in levels.items():
+            for level, (_, dY, dZ) in enumerate(rows):
+                assert dY <= 100 * gate, (name, level, dY)
+                assert dZ <= 100 * gate, (name, level, dZ)
+
+
 class TestMatrixMarket:
     """The coupled system and its right-hand side survive the Matrix
     Market form that ``solve --dump-matrix`` writes them in."""
@@ -728,6 +784,27 @@ class TestInteriorSolver:
     ])
     def test_grids_that_are_not_full_and_uniform_are_rejected(self, xy):
         assert _uniform_grid(np.array(xy, dtype=float)) is None
+
+    def test_level7_p1_set_up_probes_one_quadrant_at_a_time(self):
+        # m = n = 255, so one (m, n) plane is 0.5 MB and the (4, 4, m2,
+        # n2) blocks 2 MB.  Probing the four quadrants in one batch kept
+        # four indicator planes, their transforms, the products and the
+        # probe planes beside the blocks, and the set-up peaked at
+        # 12.3 MB; one quadrant at a time it peaks at 8.3 MB.  (A first
+        # call also imports scipy.fft, 2.4 MB more; this module has
+        # imported it already.)
+        K, xy = interior_block(UNIT, 7)
+        grid = _uniform_grid(xy)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solve = linalg._sine_solver(K, *grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solve is not None
+        extra = (peak - before) / 2 ** 20
+        assert extra < 10, extra
 
     @pytest.mark.parametrize("rect", RECTANGLES)
     def test_sine_solve_matches_splu(self, rect):

@@ -19,8 +19,9 @@ from dbcfem import (
 from dbcfem.analysis import compute_eoc, interpolate
 from dbcfem.assembly import DofMap
 from dbcfem.mesh import mesh_hierarchy
-from dbcfem.problems import (NORMS, REGISTRY, ProblemSpec, _errors_exact,
-                             _matrix_norms, config_hash)
+from dbcfem.problems import (MAX_DOFS, NORMS, REGISTRY, ProblemSpec,
+                             _errors_exact, _matrix_norms, config_hash,
+                             finest_level, num_dofs)
 
 MINIMAL = {
     "domain": [0.0, 1.0, 0.0, 1.0],
@@ -76,6 +77,16 @@ WRONG_CONTAINERS = [
     ({"constants": [["s", 2e-5]]}, "bad value for constants"),
     ({"exact": {"y": "x1", "y_grad": {"1": 0, "2": 0}}},
      "bad value for exact"),
+]
+
+# levels finer than the bound on the mesh, refused before any allocation:
+# each would grow until the process is killed.  1e308 is a whole number.
+TOO_FINE = [
+    ({"reference_level": 40}, "bad value for reference_level: levels "
+     "above 9 are refused for degree 1"),
+    ({"reference_level": 1e308}, "bad value for reference_level"),
+    ({"reference_level": 10}, "bad value for reference_level"),
+    ({"levels": [0, 40]}, "bad value for levels: levels above 9"),
 ]
 
 
@@ -219,11 +230,35 @@ class TestValidation:
         *NON_FINITE,
         *NUMERIC_STRINGS,
         *WRONG_CONTAINERS,
+        *TOO_FINE,
     ])
     def test_bad_field_rejected(self, tmp_path, patch, match):
         payload = dict(MINIMAL, **patch)
         with pytest.raises(ConfigError, match=match):
             load_config(write_config(tmp_path, payload))
+
+    def test_dof_count_is_the_closed_form(self):
+        for rect in (MINIMAL["domain"], (0.0, 2.0, 0.0, 0.5)):
+            for mesh in mesh_hierarchy(rect, 5):
+                for degree in (1, 2):
+                    assert (DofMap(mesh, degree).num_dofs
+                            == num_dofs(mesh.level, degree)
+                            == (2 ** (mesh.level + degree) + 1) ** 2)
+
+    def test_bound_admits_the_level9_reference(self, tmp_path):
+        # 1,050,625 dofs: the level-9 P1 reference, or P2 level 8
+        assert MAX_DOFS == num_dofs(9, 1) == num_dofs(8, 2) == 1050625
+        assert (finest_level(1), finest_level(2)) == (9, 8)
+        spec = load_config(write_config(tmp_path, dict(
+            MINIMAL, levels=[0, 8], reference_level=9)))
+        assert spec.reference_level == 9
+        assert load_config(write_config(tmp_path, dict(
+            MINIMAL, degree=2, levels=[0, 8], exact={"y": "x1"},
+            reference_level=None))).levels == (0, 8)
+        with pytest.raises(ConfigError, match="bad value for levels: "
+                           "levels above 8 are refused for degree 2"):
+            load_config(write_config(tmp_path, dict(
+                MINIMAL, degree=2, levels=[9], exact={"y": "x1"})))
 
     @pytest.mark.parametrize("name", ["x1", "x2", "sin", "pi", "gamma"])
     def test_reserved_constant_names(self, tmp_path, name):
@@ -366,6 +401,17 @@ class TestSolveLevel:
         dofmap = DofMap(mesh_hierarchy(spec.domain, 2)[-1], degree)
         with pytest.raises(ValueError, match=match):
             solve_level(spec, level, dofmap)
+
+    @pytest.mark.parametrize("degree,level", [(1, 10), (2, 9),
+                                              (1, 10 ** 308)])
+    def test_level_beyond_the_bound_is_refused(self, monkeypatch, degree,
+                                               level):
+        def refuse(*args):
+            raise AssertionError("a mesh was built")
+        monkeypatch.setattr("dbcfem.problems.mesh_hierarchy", refuse)
+        spec = dataclasses.replace(load_config("example1"), degree=degree)
+        with pytest.raises(ConfigError, match="bad value for level: "):
+            solve_level(spec, level)
 
     def test_homogeneous_data_gives_zero(self):
         spec = load_config("example1")
