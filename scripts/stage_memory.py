@@ -21,6 +21,7 @@ import sys
 from dbcfem import (ConfigError, DofMap, SolverConfig, SolverError,
                     build_block_system, load_config, mesh_hierarchy,
                     solve_block)
+from dbcfem.problems import check_level
 
 
 def main(argv=None):
@@ -34,6 +35,7 @@ def main(argv=None):
         parser.error("level must be nonnegative")
     try:
         spec = load_config(args.config)
+        check_level("--level", args.level, spec.degree)
     except (ConfigError, OSError) as err:
         parser.error(str(err))
 

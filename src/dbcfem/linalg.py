@@ -19,11 +19,11 @@ interior nodes fill a uniform grid (P1 and P2 on the rectangle meshes),
 K_II is solved by type-I sine transforms: in their basis it is block
 diagonal with blocks of at most 4 x 4, which are probed one quadrant of
 the modes at a time, inverted plane by plane through their 2 x 2-block
-Schur complement and confirmed by a fixed-seed solve.  Every other K_II is factored once with
-splu.  A solve sets up once the K_II solve, the stop threshold of CG and
-the sweeps, and their 80-bit residual map, which keeps no 80-bit matrix:
-each call casts the entries of K, M and M_Gamma one block of rows at a
-time.
+Schur complement and confirmed by a fixed-seed solve.  Every other K_II
+is factored once with splu.  A solve sets up once the K_II solve, the
+stop threshold of CG and the sweeps, and their 80-bit residual map,
+which keeps no 80-bit matrix: each call casts the entries of K, M and
+M_Gamma one block of rows at a time.
 """
 
 import logging
@@ -207,9 +207,9 @@ def _sine_solver(K_II, cell, shape):
     Four products with K_II, each between two DSTs, probe the four
     quadrants of the modes one at a time, so one probe plane is live
     beside the blocks.  The 4 x 4 blocks are stored as (4, 4, m2, n2)
-    planes and inverted by _plane_inverse, without
-    pivoting: each is a principal block of the SPD Q·K_II·Q, or one
-    whose duplicate rows are unit rows.
+    planes and inverted by _plane_inverse, without pivoting: each is a
+    principal block of the SPD Q·K_II·Q, or one whose duplicate rows
+    are unit rows.
     """
     from scipy.fft import dstn  # only the grid paths need scipy.fft
     m, n = shape
@@ -291,8 +291,9 @@ def _interior_solver(K_II, xy):
     whose nodes alternate vertex and midpoint and whose mesh is
     mirror-symmetric about every grid line, it has blocks of at most
     4 x 4.  One product with K_II per quadrant of the modes probes
-    those blocks, which are inverted once.  This solve is taken only if a fixed-seed one has
-    ‖K_II x - f‖ <= 1e-12·(‖f‖ + ‖K_II‖∞·‖x‖), checked on every call.
+    those blocks, which are inverted once.  This solve is taken only if
+    a fixed-seed one has ‖K_II x - f‖ <= 1e-12·(‖f‖ + ‖K_II‖∞·‖x‖),
+    checked on every call.
     Every other K_II is factored once by splu in its default order.
     """
     grid = _uniform_grid(xy)

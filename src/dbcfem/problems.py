@@ -74,7 +74,7 @@ def finest_level(degree):
     return max(lv for lv in range(32) if num_dofs(lv, degree) <= MAX_DOFS)
 
 
-def _check_level(key, level, degree):
+def check_level(key, level, degree):
     """ConfigError naming key when level is finer than finest_level."""
     if level > finest_level(degree):
         raise ConfigError("bad value for %s: levels above %d are refused "
@@ -197,9 +197,9 @@ class ProblemSpec:
         if self.levels[0] < 0 or any(b <= a for a, b in zip(self.levels,
                                                             self.levels[1:])):
             raise ConfigError("levels must be nonnegative and increasing")
-        _check_level("levels", self.levels[-1], self.degree)
+        check_level("levels", self.levels[-1], self.degree)
         if self.reference_level is not None:
-            _check_level("reference_level", self.reference_level,
+            check_level("reference_level", self.reference_level,
                          self.degree)
         if not self.columns:
             raise ConfigError("columns must name at least one error norm")
@@ -385,7 +385,7 @@ def solve_level(spec, level, dofmap=None, solver_config=None):
     if level < 0:
         raise ConfigError("refinement level must be nonnegative, got %d"
                           % level)
-    _check_level("level", level, spec.degree)
+    check_level("level", level, spec.degree)
     if dofmap is None:
         dofmap = DofMap(mesh_hierarchy(spec.domain, level)[-1], spec.degree)
     elif (dofmap.mesh.level, dofmap.degree) != (level, spec.degree):

@@ -5,13 +5,15 @@ quadrature and solver code paths: local matrices come from exact
 rational integration of barycentric monomials, the fractional boundary
 seminorm comes from a brute-force panel-pair integration with much
 finer quadrature than the library uses, and the coupled system is
-solved by one sparse LU of the whole matrix, refined on an 80-bit
-iterate, its 80-bit residual by products with whole 80-bit copies of
-the matrices.  The mesh invariant check
-lives here too, as only the tests call it, and so do the loop and
-einsum forms that the vectorized kernels replaced, the row-by-row
-writers that numpy and dataclasses replaced, and the two level-spread
-checks of verify as the separate blocks that one helper replaced.
+solved by one sparse LU of the whole matrix, its 80-bit residual by
+products with whole 80-bit copies of the matrices.  The one exception
+is the refined LU solve, whose sweeps use the package's blocked 80-bit
+residual map, which the tests check bit for bit against that cast-once
+one.  The mesh invariant check lives here too, as only the tests call
+it, and so do the loop and einsum forms that the vectorized kernels
+replaced, the row-by-row writers that numpy and dataclasses replaced,
+and the two level-spread checks of verify as the separate blocks that
+one helper replaced.
 """
 
 import math

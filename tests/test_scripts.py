@@ -93,6 +93,7 @@ def test_stage_memory_prints_every_stage(tmp_path, capsys, tolerance):
     ("nosuch", "3"),                                  # no such file
     ('{"problem": "example1", "gamma": -1}', "3"),    # a ConfigError
     ("example1", "-1"),
+    ("example1", "10"),                               # above the bound
 ])
 def test_stage_memory_rejects_a_bad_argument(tmp_path, capsys, config,
                                              level):
