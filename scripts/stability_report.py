@@ -18,6 +18,7 @@ import sys
 
 from dbcfem import (ConfigError, load_config, solve_level,
                     verify_discrete_stability)
+from dbcfem.problems import check_level
 
 
 def main(argv=None):
@@ -30,13 +31,16 @@ def main(argv=None):
                         help="regularization weights (default: 1.0 0.01)")
     args = parser.parse_args(argv)
     first, last = args.levels
-    if first < 0 or last < first:
-        parser.error("levels must satisfy 0 <= FIRST <= LAST")
+    if last < first:
+        parser.error("--levels must satisfy FIRST <= LAST")
 
     try:
         specs = [dataclasses.replace(load_config(preset), gamma=gamma)
                  for preset in ("example1", "example2")
                  for gamma in args.gammas]
+        for spec in specs:
+            check_level("--levels", first, spec)
+            check_level("--levels", last, spec)
     except ConfigError as err:
         parser.error(str(err))
 

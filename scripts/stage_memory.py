@@ -31,11 +31,9 @@ def main(argv=None):
     parser.add_argument("--level", type=int, required=True,
                         help="refinement level to solve")
     args = parser.parse_args(argv)
-    if args.level < 0:
-        parser.error("level must be nonnegative")
     try:
         spec = load_config(args.config)
-        check_level("--level", args.level, spec.degree)
+        check_level("--level", args.level, spec)
     except (ConfigError, OSError) as err:
         parser.error(str(err))
 

@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .analysis import (ConvergenceReport, FemField, boundary_L2_projection,
                        boundary_walk_dofs, compute_eoc, error_H1_semi,
-                       error_L2, error_L2_boundary, interpolate,
-                       seminorm_H_half_boundary,
+                       error_L2, error_L2_boundary, seminorm_H_half_boundary,
                        verify_boundary_bubble_estimate,
                        verify_discrete_stability, verify_L2_controlled_by_H1)
 from .assembly import (BlockSystem, DofMap, assemble_boundary_mass,
@@ -33,7 +32,7 @@ __all__ = [
     "boundary_walk_dofs",
     "build_block_system", "compute_eoc", "config_hash",
     "error_H1_semi", "error_L2", "error_L2_boundary", "export_vtk",
-    "interpolate", "load_config", "make_initial_mesh", "mesh_hierarchy",
+    "load_config", "make_initial_mesh", "mesh_hierarchy",
     "prolong_linear", "refine_uniform", "residual", "run_convergence",
     "segment_quadrature", "seminorm_H_half_boundary", "solve_block",
     "solve_level", "triangle_quadrature", "verify_boundary_bubble_estimate",

@@ -54,12 +54,6 @@ class FemField:
                              % (self.coeffs.shape, self.dofmap.num_dofs))
 
 
-def interpolate(dofmap, fn):
-    """Nodal interpolant of a callable; exact for polynomials of degree <= k."""
-    x = dofmap.coords
-    return FemField(dofmap, np.asarray(fn(x[:, 0], x[:, 1]), dtype=np.float64))
-
-
 def error_L2(field, exact):
     """sqrt of int (u_h - u)^2 over the domain.
 

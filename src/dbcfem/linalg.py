@@ -206,7 +206,8 @@ def _sine_solver(K_II, cell, shape):
 
     Four products with K_II, each between two DSTs, probe the four
     quadrants of the modes one at a time, so one probe plane is live
-    beside the blocks.  The 4 x 4 blocks are stored as (4, 4, m2, n2)
+    beside the blocks, and the blocks and their inverses are each
+    dropped once read.  The 4 x 4 blocks are stored as (4, 4, m2, n2)
     planes and inverted by _plane_inverse, without pivoting: each is a
     principal block of the SPD Q·K_II·Q, or one whose duplicate rows
     are unit rows.
@@ -257,12 +258,14 @@ def _sine_solver(K_II, cell, shape):
     if n % 2:
         block[1::2, :, :, -1] = unit[1::2]
     W = _plane_inverse(block)
+    del block
     # (T⁻¹v)(q) = Σ_k D[k](q)·v(flip(q, k)); a mode q = flip(p, s) reads
     # row s of p's inverse.  Lower s is written later, so a middle mode
     # keeps its own row, not the unit row of its duplicate.
     D = np.empty((4, m, n))
     for s in (3, 2, 1, 0):
         flip(D, s)[:, :m2, :n2] = W[s, np.arange(4) ^ s]
+    del W
 
     def probed_solve(f):
         v = Q(grid(f))

@@ -21,6 +21,7 @@ error is a boundary L2 norm of the state).
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from collections.abc import Mapping
@@ -62,24 +63,28 @@ EXACT_KEYS = tuple(entry for _, entry, _, _ in NORMS.values())
 MAX_DOFS = (2 ** 10 + 1) ** 2
 
 
-def num_dofs(level, degree):
-    """(2^(level+degree) + 1)², the dof count of a level of the rectangle
-    meshes: the (2^(level+1) + 1)² vertices, and for degree 2 the edge
-    midpoints between them."""
-    return (2 ** (level + degree) + 1) ** 2
-
-
-def finest_level(degree):
-    """The finest level whose mesh has at most MAX_DOFS dofs."""
-    return max(lv for lv in range(32) if num_dofs(lv, degree) <= MAX_DOFS)
-
-
-def check_level(key, level, degree):
-    """ConfigError naming key when level is finer than finest_level."""
-    if level > finest_level(degree):
+def check_level(key, level, spec):
+    """ConfigError naming key unless level is nonnegative and its mesh
+    has at most MAX_DOFS dofs, or naming domain unless the squared cell
+    edges that the mesh and the cell geometry form stay normal doubles."""
+    if level < 0:
+        raise ConfigError("bad value for %s: a level must be nonnegative, "
+                          "got %d" % (key, level))
+    # a level of degree k has (2^(level+k) + 1)² dofs on every rectangle
+    finest = round(math.log2(math.isqrt(MAX_DOFS) - 1)) - spec.degree
+    if level > finest:
         raise ConfigError("bad value for %s: levels above %d are refused "
                           "for degree %d (more than %d dofs)"
-                          % (key, finest_level(degree), degree, MAX_DOFS))
+                          % (key, finest, spec.degree, MAX_DOFS))
+    # a level-0 cell's legs, halved per level; a Python float overflows
+    # to inf and underflows to 0 without a warning
+    x0, x1, y0, y1 = spec.domain
+    hx, hy = (x1 - x0) / 2, (y1 - y0) / 2
+    top, leg = hx * hx + hy * hy, min(hx, hy) / 2 ** level
+    if not math.isfinite(top) or leg * leg < np.finfo(float).tiny:
+        raise ConfigError("bad value for domain: its cells leave double "
+                          "precision at %s %d (squared edges from %.3g "
+                          "down to %.3g)" % (key, level, top, leg * leg))
 
 
 def _column(entry):
@@ -194,13 +199,12 @@ class ProblemSpec:
             raise ConfigError("degree must be 1 or 2, got %r" % (self.degree,))
         if not self.levels:
             raise ConfigError("levels must be a nonempty list")
-        if self.levels[0] < 0 or any(b <= a for a, b in zip(self.levels,
-                                                            self.levels[1:])):
-            raise ConfigError("levels must be nonnegative and increasing")
-        check_level("levels", self.levels[-1], self.degree)
+        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+            raise ConfigError("levels must be increasing")
+        check_level("levels", self.levels[0], self)
+        check_level("levels", self.levels[-1], self)
         if self.reference_level is not None:
-            check_level("reference_level", self.reference_level,
-                         self.degree)
+            check_level("reference_level", self.reference_level, self)
         if not self.columns:
             raise ConfigError("columns must name at least one error norm")
         for key, _ in self.columns:
@@ -382,10 +386,7 @@ def solve_level(spec, level, dofmap=None, solver_config=None):
                   mesh level and degree must be level and spec.degree
         solver_config -- override the spec's solver tolerance
     """
-    if level < 0:
-        raise ConfigError("refinement level must be nonnegative, got %d"
-                          % level)
-    check_level("level", level, spec.degree)
+    check_level("level", level, spec)
     if dofmap is None:
         dofmap = DofMap(mesh_hierarchy(spec.domain, level)[-1], spec.degree)
     elif (dofmap.mesh.level, dofmap.degree) != (level, spec.degree):

@@ -9,11 +9,11 @@ solved by one sparse LU of the whole matrix, its 80-bit residual by
 products with whole 80-bit copies of the matrices.  The one exception
 is the refined LU solve, whose sweeps use the package's blocked 80-bit
 residual map, which the tests check bit for bit against that cast-once
-one.  The mesh invariant check lives here too, as only the tests call
-it, and so do the loop and einsum forms that the vectorized kernels
-replaced, the row-by-row writers that numpy and dataclasses replaced,
-and the two level-spread checks of verify as the separate blocks that
-one helper replaced.
+one.  The mesh invariant check and the nodal interpolant live here
+too, as only the tests call them, and so do the loop and einsum forms
+that the vectorized kernels replaced, the row-by-row writers that numpy
+and dataclasses replaced, and the two level-spread checks of verify as
+the separate blocks that one helper replaced.
 """
 
 import math
@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from dbcfem.analysis import (verify_boundary_bubble_estimate,
+from dbcfem.analysis import (FemField, verify_boundary_bubble_estimate,
                              verify_discrete_stability)
 from dbcfem.elements import ReferenceBasis, triangle_quadrature
 from dbcfem.linalg import _extended_residual, _norm
@@ -86,6 +86,16 @@ def extended_residual_cast_once(system):
         return np.concatenate([r, s])
 
     return residual_of
+
+
+# ---------------------------------------------------------------------------
+# the nodal interpolant
+
+
+def interpolate(dofmap, fn):
+    """Nodal interpolant of a callable; exact for polynomials of degree <= k."""
+    x = dofmap.coords
+    return FemField(dofmap, np.asarray(fn(x[:, 0], x[:, 1]), dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from dbcfem import (
     error_H1_semi,
     error_L2,
     error_L2_boundary,
-    interpolate,
     mesh_hierarchy,
     seminorm_H_half_boundary,
     verify_boundary_bubble_estimate,
@@ -33,6 +32,7 @@ from oracles import (
     as_float,
     bubble_estimate_loop,
     dense_global_matrix,
+    interpolate,
     seminorm_dense_oracle,
     seminorm_pairwise,
     walk_trace,

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import dbcfem.assembly as assembly
 import dbcfem.expr as expr
 from dbcfem.analysis import (FemField, boundary_L2_projection, error_H1_semi,
-                             error_L2, error_L2_boundary, interpolate,
+                             error_L2, error_L2_boundary,
                              seminorm_H_half_boundary)
 from dbcfem.assembly import (DofMap, _cell_geometry, assemble_boundary_mass,
                              assemble_load, assemble_mass, assemble_stiffness,
@@ -22,8 +22,8 @@ from dbcfem.mesh import (TriMesh, make_initial_mesh, mesh_hierarchy,
 from dbcfem.problems import load_config
 
 from oracles import (as_float, cell_geometry_stacked, dense_global_matrix,
-                     error_H1_semi_einsum, error_L2_einsum, load_einsum,
-                     local_edge_mass_exact, local_mass_exact,
+                     error_H1_semi_einsum, error_L2_einsum, interpolate,
+                     load_einsum, local_edge_mass_exact, local_mass_exact,
                      local_stiffness_exact, physical_gradients,
                      stiffness_einsum)
 

@@ -806,6 +806,24 @@ class TestInteriorSolver:
         extra = (peak - before) / 2 ** 20
         assert extra < 10, extra
 
+    @pytest.mark.parametrize("degree,level", [(1, 7), (2, 6)])
+    def test_set_up_drops_the_blocks_once_inverted(self, degree, level):
+        # m = n = 255 in both.  Kept alive through D and the check, the
+        # 2 MB blocks and their inverses W put the peak at 8.3 MB;
+        # dropped once read, it is 7.4 MB.
+        K, xy = interior_block(UNIT, level, degree)
+        grid = _uniform_grid(xy)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solve = linalg._sine_solver(K, *grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solve is not None
+        extra = (peak - before) / 2 ** 20
+        assert extra < 7.8, extra
+
     @pytest.mark.parametrize("rect", RECTANGLES)
     def test_sine_solve_matches_splu(self, rect):
         # P1 at level 5, P2 at levels 0-5

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dbcfem.mesh as mesh_module
-from dbcfem.analysis import interpolate
 from dbcfem.assembly import DofMap
 from dbcfem.mesh import (TriMesh, _edge_lengths_sq, edge_numbering,
                          export_vtk, make_initial_mesh, mesh_hierarchy,
@@ -17,7 +16,7 @@ from dbcfem.mesh import (TriMesh, _edge_lengths_sq, edge_numbering,
 
 from oracles import (check_mesh, edge_lengths_sq_rolled,
                      export_vtk_per_element, export_vtk_per_line,
-                     signed_areas)
+                     interpolate, signed_areas)
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 QUARTER = (0.0, 0.25, 0.0, 0.25)

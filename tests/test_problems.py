@@ -16,12 +16,13 @@ from dbcfem import (
     run_convergence,
     solve_level,
 )
-from dbcfem.analysis import compute_eoc, interpolate
+from dbcfem.analysis import compute_eoc
 from dbcfem.assembly import DofMap
 from dbcfem.mesh import mesh_hierarchy
 from dbcfem.problems import (MAX_DOFS, NORMS, REGISTRY, ProblemSpec,
-                             _errors_exact, _matrix_norms, config_hash,
-                             finest_level, num_dofs)
+                             _errors_exact, _matrix_norms, config_hash)
+
+from oracles import interpolate
 
 MINIMAL = {
     "domain": [0.0, 1.0, 0.0, 1.0],
@@ -79,14 +80,25 @@ WRONG_CONTAINERS = [
      "bad value for exact"),
 ]
 
-# levels finer than the bound on the mesh, refused before any allocation:
-# each would grow until the process is killed.  1e308 is a whole number.
+# levels that cannot be built, refused before any allocation: one finer
+# than the bound on the mesh would grow until the process is killed
+# (1e308 is a whole number), and on a domain whose squared cell edges
+# leave the normal doubles the cell geometry would divide by 0 or
+# overflow.  A width of 1e-152 is admitted up to level 5.
 TOO_FINE = [
     ({"reference_level": 40}, "bad value for reference_level: levels "
      "above 9 are refused for degree 1"),
     ({"reference_level": 1e308}, "bad value for reference_level"),
     ({"reference_level": 10}, "bad value for reference_level"),
     ({"levels": [0, 40]}, "bad value for levels: levels above 9"),
+    ({"domain": [0, 1e-300, 0, 1e-300]}, "bad value for domain: its "
+     "cells leave double precision"),
+    ({"domain": [0, 1e300, 0, 1e300]}, "bad value for domain"),
+    ({"domain": [0, 1e-152, 0, 1e-152], "reference_level": 9},
+     "bad value for domain: its cells leave double precision at "
+     "reference_level 9"),
+    ({"reference_level": -1}, "bad value for reference_level: a level "
+     "must be nonnegative"),
 ]
 
 
@@ -242,13 +254,11 @@ class TestValidation:
             for mesh in mesh_hierarchy(rect, 5):
                 for degree in (1, 2):
                     assert (DofMap(mesh, degree).num_dofs
-                            == num_dofs(mesh.level, degree)
                             == (2 ** (mesh.level + degree) + 1) ** 2)
 
     def test_bound_admits_the_level9_reference(self, tmp_path):
         # 1,050,625 dofs: the level-9 P1 reference, or P2 level 8
-        assert MAX_DOFS == num_dofs(9, 1) == num_dofs(8, 2) == 1050625
-        assert (finest_level(1), finest_level(2)) == (9, 8)
+        assert MAX_DOFS == (2 ** 10 + 1) ** 2 == 1050625
         spec = load_config(write_config(tmp_path, dict(
             MINIMAL, levels=[0, 8], reference_level=9)))
         assert spec.reference_level == 9
@@ -259,6 +269,15 @@ class TestValidation:
                            "levels above 8 are refused for degree 2"):
             load_config(write_config(tmp_path, dict(
                 MINIMAL, degree=2, levels=[9], exact={"y": "x1"})))
+        # a width of 1e-152 is admitted up to level 5, whose squared cell
+        # leg (1e-152 / 2^6)² = 2.4e-308 is still a normal double
+        thin = dict(MINIMAL, domain=[0, 1e-152, 0, 1e-152],
+                    levels=[0, 1, 2, 3])
+        assert load_config(write_config(tmp_path, dict(
+            thin, reference_level=5))).reference_level == 5
+        with pytest.raises(ConfigError, match="at reference_level 6 "):
+            load_config(write_config(tmp_path, dict(
+                thin, reference_level=6)))
 
     @pytest.mark.parametrize("name", ["x1", "x2", "sin", "pi", "gamma"])
     def test_reserved_constant_names(self, tmp_path, name):

@@ -43,6 +43,19 @@ def test_stability_report_rejects_a_bad_gamma(capsys, gamma):
     assert "error: " in err and "gamma" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("levels", [["10", "10"], ["-1", "2"]])
+def test_stability_report_rejects_a_bad_level(capsys, levels):
+    # refused by the same check as a config's levels, before any solve
+    with pytest.raises(SystemExit) as exc:
+        load_script("stability_report").main(["--levels", *levels])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "error: " in line] == [
+        err.splitlines()[-1]]
+    assert "bad value for --levels: " in err and "Traceback" not in err
+
+
 def test_stability_report_prints_bounded_sequences(capsys):
     assert load_script("stability_report").main(
         ["--levels", "2", "3", "--gammas", "1"]) == 0
@@ -94,6 +107,7 @@ def test_stage_memory_prints_every_stage(tmp_path, capsys, tolerance):
     ('{"problem": "example1", "gamma": -1}', "3"),    # a ConfigError
     ("example1", "-1"),
     ("example1", "10"),                               # above the bound
+    ('{"problem": "example1", "domain": [0, 1e-300, 0, 1e-300]}', "3"),
 ])
 def test_stage_memory_rejects_a_bad_argument(tmp_path, capsys, config,
                                              level):
