@@ -10,13 +10,13 @@ The singular study solves (or reuses from the cache) a 131072-element
 reference once; everything else takes a second or two.
 """
 
-import argparse
 import dataclasses
 import os
 import sys
 import time
 
 from dbcfem import load_config, run_convergence
+from dbcfem.cli import Parser
 
 
 def build_specs():
@@ -33,22 +33,13 @@ def build_specs():
     }
 
 
-def main(argv=None):
-    specs = build_specs()
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out-dir", default="tables",
-                        help="directory for the CSV files (default: tables)")
-    parser.add_argument("--table", action="append", choices=sorted(specs),
-                        help="restrict to one table (repeatable; "
-                             "default: all four)")
-    args = parser.parse_args(argv)
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    for name in args.table or sorted(specs):
+def write_tables(specs, names, out_dir):
+    os.makedirs(out_dir, exist_ok=True)
+    for name in names:
         spec = specs[name]
         t0 = time.perf_counter()
         report, _ = run_convergence(spec)
-        path = os.path.join(args.out_dir, "%s.csv" % name)
+        path = os.path.join(out_dir, "%s.csv" % name)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(report.to_csv())
         print("# %s (gamma=%g, degree=%d, %.1fs) -> %s"
@@ -56,6 +47,19 @@ def main(argv=None):
                  time.perf_counter() - t0, path))
         sys.stdout.write(report.to_csv())
     return 0
+
+
+def main(argv=None):
+    specs = build_specs()
+    parser = Parser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out-dir", default="tables",
+                        help="directory for the CSV files (default: tables)")
+    parser.add_argument("--table", action="append", choices=sorted(specs),
+                        help="restrict to one table (repeatable; "
+                             "default: all four)")
+    args = parser.parse_args(argv)
+    return parser.run(lambda: write_tables(
+        specs, args.table or sorted(specs), args.out_dir))
 
 
 if __name__ == "__main__":

@@ -8,42 +8,34 @@ the solve.  After each it prints ru_maxrss / 1024, the peak resident
 set in MB (Linux reports ru_maxrss in KB), so the stage that sets the
 peak is the first one that raises it to its final value.  A solve that
 fails its residual gate prints the error as one line after its stage;
-the peaks are still measured.  The peak never falls, so main() called
-twice in one process reads the first call's peaks where they are higher.
+the peaks are still measured.  Any other failure ends as dbcfem ends
+it: one stderr line and exit code 2, or 3 for a solver failure.  The
+peak never falls, so main() called twice in one process reads the
+first call's peaks where they are higher.
 
     python3 scripts/stage_memory.py --config example2 --level 9
 """
 
-import argparse
 import resource
 import sys
 
-from dbcfem import (ConfigError, DofMap, SolverConfig, SolverError,
-                    build_block_system, load_config, mesh_hierarchy,
-                    solve_block)
+from dbcfem import (DofMap, SolverConfig, SolverError, build_block_system,
+                    load_config, mesh_hierarchy, solve_block)
+from dbcfem.cli import Parser
 from dbcfem.problems import check_level
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--config", required=True,
-                        help="preset name or JSON config path")
-    parser.add_argument("--level", type=int, required=True,
-                        help="refinement level to solve")
-    args = parser.parse_args(argv)
-    try:
-        spec = load_config(args.config)
-        check_level("--level", args.level, spec)
-    except (ConfigError, OSError) as err:
-        parser.error(str(err))
+def stage(name):
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print("%-28s %9.1f" % (name, peak), flush=True)
 
-    def stage(name):
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print("%-28s %9.1f" % (name, peak), flush=True)
 
+def run_stages(source, level):
+    spec = load_config(source)
+    check_level("--level", level, spec)
     print("%-28s %9s" % ("after stage", "peak MB"))
     stage("start")
-    mesh = mesh_hierarchy(spec.domain, args.level)[-1]
+    mesh = mesh_hierarchy(spec.domain, level)[-1]
     stage("mesh")
     dofmap = DofMap(mesh, spec.degree)
     dofmap.cell_geometry
@@ -66,6 +58,16 @@ def main(argv=None):
     if error is not None:
         print("SolverError: %s" % error)
     return 0
+
+
+def main(argv=None):
+    parser = Parser(description=__doc__.splitlines()[0])
+    parser.add_argument("--config", required=True,
+                        help="preset name or JSON config path")
+    parser.add_argument("--level", type=int, required=True,
+                        help="refinement level to solve")
+    args = parser.parse_args(argv)
+    return parser.run(lambda: run_stages(args.config, args.level))
 
 
 if __name__ == "__main__":

@@ -181,8 +181,8 @@ def boundary_L2_projection(dofmap, q):
     tvals = _trace_values(dofmap.degree, rule.points)
     contrib = np.einsum("q,e,eq,nq->en", rule.weights, lengths,
                         _sample(q, pts), tvals)
-    rhs_full = np.bincount(dofmap.edge_dofs.ravel(), contrib.ravel(),
-                           minlength=dofmap.num_dofs)
+    rhs_full = np.zeros(dofmap.num_dofs)
+    np.add.at(rhs_full, dofmap.edge_dofs.ravel(), contrib.ravel())
 
     bb = dofmap.boundary_mass[dofmap.boundary, :][:, dofmap.boundary].tocsc()
     return spsolve(bb, rhs_full[dofmap.boundary])

@@ -69,10 +69,9 @@ class DofMap:
             self.coords = nodes
 
         self.num_dofs = len(self.coords)
-        self.boundary = np.unique(self.edge_dofs).astype(np.int64)
-        mask = np.ones(self.num_dofs, dtype=bool)
-        mask[self.boundary] = False
-        self.interior = np.flatnonzero(mask).astype(np.int64)
+        count = np.bincount(self.edge_dofs.ravel(), minlength=self.num_dofs)
+        self.boundary = np.flatnonzero(count)
+        self.interior = np.flatnonzero(count == 0)
 
     @cached_property
     def cell_geometry(self):
@@ -107,8 +106,8 @@ def _cell_quadrature(dofmap):
     triangle rule of exactness 2k+2, the block's slice, and its det
     (nb,), Jacobians (nb, 2, 2) and physical quadrature points
     (nq, nb, 2) (see _map_points).  The loads and the error norms
-    iterate it, so only one block's points and samples are live at
-    once, never those of the whole mesh.
+    iterate it, so only one block's points, samples and local entries
+    are live at once, never those of the whole mesh.
     """
     rule = triangle_quadrature(2 * dofmap.degree + 2)
     origin, jac, det = dofmap.cell_geometry
@@ -256,22 +255,21 @@ def assemble_load(dofmap, g):
 
     The quadrature exactness is 2k+2 so that, for instance, a
     quadratic g against a linear basis is integrated exactly.  Each
-    cell's entries are det * (g at its points) @ (w * phi)^T, computed
-    block by block of _cell_quadrature into one (nt, nd) array that a
-    single bincount sums, so the result does not depend on the block
-    size.  A g whose parse tree (see ProblemSpec.field) is the
-    constant 0 gives exact zeros, with no quadrature.
+    cell's entries det * (g at its points) @ (w * phi)^T are added in
+    place, one _cell_quadrature block at a time, by np.add.at, which
+    adds in cell order, so the sums do not depend on the block size.
+    A g whose parse tree (see ProblemSpec.field) is the constant 0
+    gives exact zeros, with no quadrature.
     """
+    out = np.zeros(dofmap.num_dofs)
     if getattr(g, "tree", None) == ("num", 0.0):
-        return np.zeros(dofmap.num_dofs)
+        return out
     values = ReferenceBasis(dofmap.degree).values
-    contrib = np.empty(dofmap.cell_dofs.shape)
     for rule, cells, det, _, pts in _cell_quadrature(dofmap):
-        weighted = values(rule.points) * rule.weights
-        np.matmul(_sample(g, pts).T, weighted.T, out=contrib[cells])
-        contrib[cells] *= det[:, None]
-    return np.bincount(dofmap.cell_dofs.ravel(), contrib.ravel(),
-                       minlength=dofmap.num_dofs)
+        local = _sample(g, pts).T @ (values(rule.points) * rule.weights).T
+        local *= det[:, None]
+        np.add.at(out, dofmap.cell_dofs[cells].ravel(), local.ravel())
+    return out
 
 
 @dataclass

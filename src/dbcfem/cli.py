@@ -202,8 +202,24 @@ def cmd_verify(args):
     return 4 if failed else 0
 
 
+class Parser(argparse.ArgumentParser):
+    """ArgumentParser that ends a usage error, or a failure of run(call),
+    in one stderr line and SystemExit 2, or 3 for a solver failure."""
+
+    def error(self, message):
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
+
+    def run(self, call):
+        try:
+            return call()
+        except (ConfigError, ParseError, EvalError, OSError) as err:
+            self.exit(2, "error: %s\n" % err)
+        except SolverError as err:
+            self.exit(3, "solver error: %s\n" % err)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="dbcfem",
         description="Dirichlet boundary control of the Poisson equation "
                     "by a coupled finite-element solve.")
@@ -232,18 +248,9 @@ def main(argv=None):
 
     try:
         args = parser.parse_args(argv)
+        return parser.run(lambda: args.func(args))
     except SystemExit as err:
-        return 0 if err.code in (0, None) else 2
-
-    try:
-        return args.func(args)
-    except (ConfigError, ParseError, EvalError, json.JSONDecodeError,
-            OSError) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    except SolverError as err:
-        print("solver error: %s" % err, file=sys.stderr)
-        return 3
+        return err.code or 0
 
 
 if __name__ == "__main__":

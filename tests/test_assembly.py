@@ -334,9 +334,8 @@ class TestCellBlocks:
         # Level 7 has 131072 cells and the P1 rule 7 points, so one
         # block's (nq, nb) plane is 7·4096·8 B = 0.22 MB.  Each norm
         # keeps a 1 MB per-cell array and about a dozen planes: 5 MB.
-        # The load keeps its 3 MB (nt, 3) local entries, and bincount
-        # copies the mesh's read-only (nt, 3) cell dofs: 8 MB.  Planes
-        # of the whole mesh would be 7.3 MB each.
+        # The load adds one block's local entries at a time (see the
+        # next test).  Planes of the whole mesh would be 7.3 MB each.
         dofmap = DofMap(mesh_hierarchy(load_config("example1").domain,
                                        7)[-1], 1)
         bounds = {"load_f": 8, "load_y_d": 8, "L2": 5, "H1": 5}
@@ -351,6 +350,23 @@ class TestCellBlocks:
                 tracemalloc.stop()
             extra = (peak - before - out.nbytes) / 2 ** 20
             assert extra < bounds[name], (name, extra)
+
+    @pytest.mark.parametrize("key", ["f", "y_d"])
+    def test_level7_p1_load_holds_no_array_of_the_whole_mesh(self, key):
+        # Level 7's (nt, 3) local entries would take 3 MB, and so would
+        # a copy of the mesh's cell dofs; one block's entries and planes
+        # and the 0.5 MB vector itself take under 2 MB.
+        spec = load_config("example1")
+        dofmap = DofMap(mesh_hierarchy(spec.domain, 7)[-1], 1)
+        dofmap.cell_geometry
+        g = spec.field(getattr(spec, key))
+        tracemalloc.start()
+        try:
+            assemble_load(dofmap, g)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak < 4, peak
 
 
 class TestLoadVector:

@@ -108,6 +108,7 @@ def test_stage_memory_prints_every_stage(tmp_path, capsys, tolerance):
     ("example1", "-1"),
     ("example1", "10"),                               # above the bound
     ('{"problem": "example1", "domain": [0, 1e-300, 0, 1e-300]}', "3"),
+    ('{"problem": "example1", "f": "log(x1-0.5)"}', "2"),  # an EvalError
 ])
 def test_stage_memory_rejects_a_bad_argument(tmp_path, capsys, config,
                                              level):
@@ -120,3 +121,28 @@ def test_stage_memory_rejects_a_bad_argument(tmp_path, capsys, config,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("script,argv,code,message", [
+    # the data overflow: a SolverError in the first solve
+    ("stability_report", ["--levels", "2", "2", "--gammas", "1e-300"], 3,
+     "solver error: the norm of the right-hand side is not finite"),
+    # data that cannot be evaluated: an EvalError in the loads stage
+    ("stage_memory", ["--config", "log.json", "--level", "2"], 2,
+     "error: evaluation failed: invalid value encountered in log"),
+    # an output directory under a regular file: a NotADirectoryError
+    ("make_tables", ["--out-dir", "file/tables"], 2,
+     "error: [Errno 20] Not a directory"),
+])
+def test_a_failed_run_ends_in_one_line(tmp_path, monkeypatch, capsys,
+                                       script, argv, code, message):
+    # the way dbcfem ends the same failure: its exit status and one line
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "log.json").write_text(json.dumps(
+        {"problem": "example1", "f": "log(x1-0.5)"}))
+    (tmp_path / "file").write_text("")
+    with pytest.raises(SystemExit) as exc:
+        load_script(script).main(argv)
+    assert exc.value.code == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(message), err
